@@ -20,7 +20,7 @@ from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, ClaimCheck,
                        immersion_certificate, lens_rank_bound,
                        lens_sq2_criterion, normal_pontrjagin,
                        span_certificate, tangent_pontrjagin)
-from .ring import Residue, gcd_all, is_prime, lucas_binom, p_adic_valuation
+from .ring import gcd_all, is_prime, lucas_binom, p_adic_valuation
 from .series import TruncatedSeries
 from .weights import (WeightTuple, complement_chern, homogeneous_sum,
                       homogeneous_sum_pair, total_chern)
@@ -41,7 +41,6 @@ __all__ = [
     "LensParams",
     "PresentationCheck",
     "RankBoundReport",
-    "Residue",
     "SpanCertificate",
     "SpanSweep",
     "StiefelParams",

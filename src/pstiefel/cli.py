@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .cohomology import (CohomologyPresentation, InvariantViolation,
                          StiefelParams, check_presentation_invariants,
-                         poincare_polynomial, presentation_mod2,
-                         presentation_odd)
-from .geometry import (ClaimCheck, ImmersionCertificate, LensParams,
+                         presentation_mod2, presentation_odd)
+from .geometry import (CERTIFICATE_BASIS, ClaimCheck, LensParams,
                        RankBoundReport, SpanCertificate, best_immersion_bound,
                        best_span_bound, check_immersion_theorem,
                        check_span_theorem, cp_complement_min_rank,
@@ -82,6 +82,18 @@ def _parse_weights(text: str) -> WeightTuple:
     return WeightTuple(raw)
 
 
+def _bind_negative_weights(argv: list[str]) -> list[str]:
+    """Join --weights to a value such as -3,4, which argparse would
+    otherwise take for an option. Joining any other value is harmless."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--weights" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _stringify(obj):
     """Numbers to decimal strings, recursively; booleans stay booleans."""
     if isinstance(obj, bool):
@@ -95,18 +107,6 @@ def _stringify(obj):
     return obj
 
 
-def _report(command: str, params: dict, result: dict,
-            certificates=(), diagnostics=(), claim_checks=()) -> dict:
-    return {
-        "command": command,
-        "params": _stringify(params),
-        "result": _stringify(result),
-        "certificates": [_stringify(c) for c in certificates],
-        "diagnostics": list(diagnostics),
-        "claim_checks": [_stringify(c) for c in claim_checks],
-    }
-
-
 def _series_payload(series) -> dict:
     return {
         "coefficients": list(series.coeffs),
@@ -115,71 +115,51 @@ def _series_payload(series) -> dict:
     }
 
 
-def _span_cert_payload(cert: SpanCertificate) -> dict:
-    return {
-        "prime": cert.prime,
-        "index": cert.index,
-        "witness": cert.witness.value,
-        "bound": cert.span_bound,
-        "basis": "direct-series",
-    }
-
-
-def _imm_cert_payload(cert: ImmersionCertificate) -> dict:
-    return {
-        "prime": cert.prime,
-        "index": cert.index,
-        "witness": cert.witness.value,
-        "bound": cert.certified_dim,
-        "claimed": cert.claimed_dim,
-        "basis": "direct-series",
-    }
+def _certificate_payload(cert) -> dict:
+    payload = {"prime": cert.prime, "index": cert.index,
+               "witness": cert.witness, "basis": CERTIFICATE_BASIS}
+    if isinstance(cert, SpanCertificate):
+        payload["bound"] = cert.span_bound
+    else:
+        payload.update(bound=cert.certified_dim, claimed=cert.claimed_dim)
+    return payload
 
 
 def _claim_check_payload(check: ClaimCheck) -> list[dict]:
     out = []
     for inst in check.instances:
-        entry = {
-            "kind": check.kind,
-            "prime": inst.prime,
-            "part": inst.part,
-            "hypotheses": {name: ok for name, ok in inst.hypotheses},
-            "index": inst.index,
-            "admissible": inst.admissible,
-            "coefficient": None if inst.coefficient is None
-            else inst.coefficient.value,
-            "claimed": inst.claimed,
-            "verdict": inst.verdict,
-            "notes": list(inst.notes),
-        }
+        entry = {**asdict(inst), "kind": check.kind,
+                 "hypotheses": dict(inst.hypotheses)}
         if check.kind == "immersion" and inst.claimed is not None:
             entry["certified"] = inst.claimed - 1
         out.append(entry)
     return out
 
 
-def _rank_report_payload(report: RankBoundReport) -> dict:
-    return {
-        "space": report.space,
-        "lower_bound": report.lower_bound,
-        "achievable": report.achievable,
+def _rank_report(rep: RankBoundReport) -> tuple[dict, str]:
+    """Result payload and text line of a complement rank bound."""
+    reason = rep.reason_kind
+    if rep.reason_index is not None:
+        reason += f" (index {rep.reason_index}, value {rep.reason_value})"
+    payload = {
+        "space": rep.space,
+        "lower_bound": rep.lower_bound,
+        "achievable": rep.achievable,
         "reason": {
-            "kind": report.reason_kind,
-            "index": report.reason_index,
-            "value": report.reason_value,
+            "kind": rep.reason_kind,
+            "index": rep.reason_index,
+            "value": rep.reason_value,
         },
     }
+    return payload, (f"{rep.space}: complement rank >= "
+                     f"{rep.lower_bound} forced [{reason}]; "
+                     f"rank {rep.achievable} achievable")
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+# Each handler returns (text lines, report fields); main prints one or
+# the other.
 
-
-def _cmd_cohomology(args) -> int:
+def _cmd_cohomology(args):
     ell = _parse_weights(args.weights)
     params = StiefelParams(args.n, args.k, ell)
     if args.prime == 2:
@@ -194,7 +174,6 @@ def _cmd_cohomology(args) -> int:
     if not check.passed:
         raise InvariantViolation(
             f"presentation invariants failed for {params}: {check}")
-    poincare = poincare_polynomial(pres)
     result = {
         "prime": pres.prime,
         "nilpotency_order": pres.nilpotency_order,
@@ -203,7 +182,7 @@ def _cmd_cohomology(args) -> int:
         "exterior_degrees": list(pres.exterior_degrees),
         "mod2_square_relations": pres.mod2_square_relations,
         "presentation": pres.describe(),
-        "poincare_coefficients": poincare,
+        "poincare_coefficients": check.poincare,
         "invariants": {
             "top_degree": check.top_degree,
             "expected_top_degree": check.expected_top_degree,
@@ -213,11 +192,6 @@ def _cmd_cohomology(args) -> int:
             "passed": check.passed,
         },
     }
-    report = _report(
-        "cohomology",
-        {"n": args.n, "k": args.k, "weights": list(ell.weights),
-         "prime": args.prime},
-        result)
     lines = [
         pres.describe(),
         f"nilpotency order {pres.nilpotency_order}; "
@@ -225,11 +199,13 @@ def _cmd_cohomology(args) -> int:
         f"top degree {check.top_degree}, total rank {check.total_rank}, "
         f"invariants {'ok' if check.passed else 'FAILED'}",
     ]
-    _emit(report, lines, args.json)
-    return 0
+    return lines, {"params": {"n": args.n, "k": args.k,
+                              "weights": list(ell.weights),
+                              "prime": args.prime},
+                   "result": result}
 
 
-def _cmd_chern(args) -> int:
+def _cmd_chern(args):
     ell = _parse_weights(args.weights)
     if args.truncation is not None:
         T = args.truncation
@@ -239,178 +215,117 @@ def _cmd_chern(args) -> int:
         raise ValueError("chern needs --truncation or --n")
     total = total_chern(ell, T)
     comp = complement_chern(ell, T)
-    report = _report(
-        "chern",
-        {"weights": list(ell.weights), "truncation": T},
-        {"total": _series_payload(total), "complement": _series_payload(comp)})
-    lines = [f"total:      {total!r}", f"complement: {comp!r}"]
-    _emit(report, lines, args.json)
-    return 0
+    return [f"total:      {total!r}", f"complement: {comp!r}"], {
+        "params": {"weights": list(ell.weights), "truncation": T},
+        "result": {"total": _series_payload(total),
+                   "complement": _series_payload(comp)}}
 
 
-def _cmd_pontrjagin(args) -> int:
+def _cmd_pontrjagin(args):
     ell = _parse_weights(args.weights)
     T = args.truncation if args.truncation is not None else args.n
     tangent = tangent_pontrjagin(args.n, ell, args.modulus, T)
     normal = normal_pontrjagin(args.n, ell, args.modulus, T)
-    report = _report(
-        "pontrjagin",
-        {"n": args.n, "weights": list(ell.weights), "modulus": args.modulus,
-         "truncation": T},
-        {"tangent": _series_payload(tangent),
-         "normal": _series_payload(normal)})
-    lines = [f"tangent: {tangent!r}", f"normal:  {normal!r}"]
-    _emit(report, lines, args.json)
-    return 0
+    return [f"tangent: {tangent!r}", f"normal:  {normal!r}"], {
+        "params": {"n": args.n, "weights": list(ell.weights),
+                   "modulus": args.modulus, "truncation": T},
+        "result": {"tangent": _series_payload(tangent),
+                   "normal": _series_payload(normal)}}
 
 
-def _cmd_span(args) -> int:
+def _cmd_certificates(args):
+    """span and immersion: one prime, or a sweep of odd primes."""
     ell = _parse_weights(args.weights)
+    kind = args.command
+    span = kind == "span"
+    letter = "i" if span else "j"
+
+    def claim(c):
+        if span:
+            return f"span <= {c.span_bound}"
+        return f"no immersion into R^{c.certified_dim}"
+
+    def bounds(c):
+        if span:
+            return {"span_bound": c and c.span_bound}
+        return {"certified_non_immersion_dim": c and c.certified_dim,
+                "claimed_dim": c and c.claimed_dim}
+
     params = {"n": args.n, "weights": list(ell.weights)}
     diagnostics = []
+    # Look the engine functions up at call time: a table built at import
+    # would hide them from anything that rebinds module names.
     if args.prime is not None:
-        cert = span_certificate(args.n, ell, args.prime)
+        certificate = span_certificate if span else immersion_certificate
+        cert = certificate(args.n, ell, args.prime)
         params["prime"] = args.prime
         certs = [cert] if cert else []
+        result = bounds(cert)
         if cert:
-            result = {"span_bound": cert.span_bound}
-            lines = [f"span <= {cert.span_bound}, certificate "
-                     f"p={cert.prime} i={cert.index} w={cert.witness.value}"]
+            sep = (", " if span else " (certified); claimed-form dimension "
+                   f"{cert.claimed_dim}; ")
+            lines = [f"{claim(cert)}{sep}certificate p={cert.prime} "
+                     f"{letter}={cert.index} w={cert.witness}"]
         else:
-            result = {"span_bound": None}
             diagnostics.append(
                 f"no admissible nonzero coefficient mod {args.prime}")
-            lines = [f"no span certificate mod {args.prime}"]
+            lines = [f"no {kind} certificate mod {args.prime}"]
     else:
         bound = args.prime_bound if args.prime_bound is not None else 4 * args.n
-        sweep = best_span_bound(args.n, ell, bound)
+        sweep = (best_span_bound if span else best_immersion_bound)(
+            args.n, ell, bound)
         params["prime_bound"] = bound
         certs = list(sweep.certificates)
         best = sweep.best
-        result = {"span_bound": best.span_bound if best else None,
-                  "best_prime": best.prime if best else None}
-        lines = [f"p={c.prime}: span <= {c.span_bound} "
-                 f"(i={c.index}, w={c.witness.value})" for c in certs]
+        result = dict(bounds(best), best_prime=best and best.prime)
+        lines = [f"p={c.prime}: {claim(c)} ({letter}={c.index}, "
+                 f"w={c.witness})" for c in certs]
         if best:
-            lines.append(f"best: span <= {best.span_bound} (p={best.prime})")
+            lines.append(f"best: {claim(best)} (p={best.prime})")
         else:
             diagnostics.append("no certificate found in the prime sweep")
-            lines.append("no span certificate found")
-    report = _report("span", params, result,
-                     certificates=[_span_cert_payload(c) for c in certs],
-                     diagnostics=diagnostics)
-    _emit(report, lines, args.json)
-    return 0
+            lines.append(f"no {kind} certificate found")
+    return lines, {"params": params, "result": result,
+                   "certificates": [_certificate_payload(c) for c in certs],
+                   "diagnostics": diagnostics}
 
 
-def _cmd_immersion(args) -> int:
-    ell = _parse_weights(args.weights)
-    params = {"n": args.n, "weights": list(ell.weights)}
-    diagnostics = []
-    if args.prime is not None:
-        cert = immersion_certificate(args.n, ell, args.prime)
-        params["prime"] = args.prime
-        certs = [cert] if cert else []
-        if cert:
-            result = {"certified_non_immersion_dim": cert.certified_dim,
-                      "claimed_dim": cert.claimed_dim}
-            lines = [f"no immersion into R^{cert.certified_dim} (certified); "
-                     f"claimed-form dimension {cert.claimed_dim}; certificate "
-                     f"p={cert.prime} j={cert.index} w={cert.witness.value}"]
-        else:
-            result = {"certified_non_immersion_dim": None, "claimed_dim": None}
-            diagnostics.append(
-                f"no admissible nonzero coefficient mod {args.prime}")
-            lines = [f"no immersion certificate mod {args.prime}"]
-    else:
-        bound = args.prime_bound if args.prime_bound is not None else 4 * args.n
-        sweep = best_immersion_bound(args.n, ell, bound)
-        params["prime_bound"] = bound
-        certs = list(sweep.certificates)
-        best = sweep.best
-        result = {
-            "certified_non_immersion_dim":
-                best.certified_dim if best else None,
-            "claimed_dim": best.claimed_dim if best else None,
-            "best_prime": best.prime if best else None,
-        }
-        lines = [f"p={c.prime}: no immersion into R^{c.certified_dim} "
-                 f"(j={c.index}, w={c.witness.value})" for c in certs]
-        if best:
-            lines.append(
-                f"best: no immersion into R^{best.certified_dim} "
-                f"(p={best.prime})")
-        else:
-            diagnostics.append("no certificate found in the prime sweep")
-            lines.append("no immersion certificate found")
-    report = _report("immersion", params, result,
-                     certificates=[_imm_cert_payload(c) for c in certs],
-                     diagnostics=diagnostics)
-    _emit(report, lines, args.json)
-    return 0
-
-
-def _cmd_complement(args) -> int:
+def _cmd_complement(args):
     ell = _parse_weights(args.weights)
     rep = cp_complement_min_rank(args.n, ell)
-    result = _rank_report_payload(rep)
-    report = _report(
-        "complement",
-        {"n": args.n, "weights": list(ell.weights)},
-        result, diagnostics=list(rep.notes))
-    reason = rep.reason_kind
-    if rep.reason_index is not None:
-        reason += f" (index {rep.reason_index}, value {rep.reason_value})"
-    lines = [f"{rep.space}: complement rank >= {rep.lower_bound} forced "
-             f"[{reason}]; rank {rep.achievable} achievable"]
-    lines += list(rep.notes)
-    _emit(report, lines, args.json)
-    return 0
+    result, line = _rank_report(rep)
+    return [line, *rep.notes], {
+        "params": {"n": args.n, "weights": list(ell.weights)},
+        "result": result, "diagnostics": list(rep.notes)}
 
 
-def _cmd_lens(args) -> int:
-    l1, l2 = _parse_lens_weights(args.weights)
-    params = LensParams(args.d, args.m, l1, l2)
+def _cmd_lens(args):
+    ell = _parse_weights(args.weights)
+    if len(ell) != 2:
+        raise ValueError(
+            f"lens spaces take exactly two weights, got {list(ell.weights)}")
+    params = LensParams(args.d, args.m, *ell.weights)
     rep = lens_rank_bound(params)
     crit = lens_sq2_criterion(params)
     diagnostics = list(rep.notes)
     if crit.diagnostic and crit.diagnostic not in diagnostics:
         diagnostics.append(crit.diagnostic)
-    result = _rank_report_payload(rep)
+    result, line = _rank_report(rep)
     result["criterion"] = {
         "satisfied": crit.satisfied,
-        "hypotheses": {name: ok for name, ok in crit.hypotheses},
+        "hypotheses": dict(crit.hypotheses),
         "value": crit.value,
     }
-    report = _report(
-        "lens",
-        {"d": args.d, "m": args.m, "weights": [l1, l2]},
-        result, diagnostics=diagnostics)
-    reason = rep.reason_kind
-    if rep.reason_index is not None:
-        reason += f" (index {rep.reason_index}, value {rep.reason_value})"
-    lines = [f"{rep.space}: complement rank >= {rep.lower_bound} forced "
-             f"[{reason}]; rank {rep.achievable} achievable",
+    lines = [line,
              f"secondary criterion "
              f"{'satisfied' if crit.satisfied else 'unsatisfied'}: "
              + ", ".join(f"{name}={ok}" for name, ok in crit.hypotheses)]
-    lines += diagnostics
-    _emit(report, lines, args.json)
-    return 0
+    return lines + diagnostics, {
+        "params": {"d": args.d, "m": args.m, "weights": list(ell.weights)},
+        "result": result, "diagnostics": diagnostics}
 
 
-def _parse_lens_weights(text: str) -> tuple[int, int]:
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(
-            f"weights must be comma-separated integers, got {text!r}") from None
-    if len(parts) != 2:
-        raise ValueError(f"lens spaces take exactly two weights, got {parts}")
-    return parts[0], parts[1]
-
-
-def _cmd_check_claims(args) -> int:
+def _cmd_check_claims(args):
     ell = _parse_weights(args.weights)
     span_check = check_span_theorem(args.n, ell)
     imm_check = check_immersion_theorem(args.n, ell)
@@ -427,10 +342,6 @@ def _cmd_check_claims(args) -> int:
         "span_vacuous": span_check.vacuous,
         "immersion_vacuous": imm_check.vacuous,
     }
-    report = _report(
-        "check-claims",
-        {"n": args.n, "weights": list(ell.weights)},
-        result, diagnostics=diagnostics, claim_checks=claim_payload)
     lines = []
     for entry in claim_payload:
         desc = f"{entry['kind']} part {entry['part']} p={entry['prime']}: " \
@@ -443,30 +354,20 @@ def _cmd_check_claims(args) -> int:
     lines += diagnostics
     if not lines:
         lines = ["both claims vacuous: no qualifying primes"]
-    _emit(report, lines, args.json)
-    return 0
+    return lines, {"params": {"n": args.n, "weights": list(ell.weights)},
+                   "result": result, "diagnostics": diagnostics,
+                   "claim_checks": claim_payload}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = verify_mod.run_all(quick=args.quick)
-    suites_payload = [
-        {"name": r.name, "checked": r.checked, "failures": list(r.failures)}
-        for r in results
-    ]
-    report = _report(
-        "verify", {"quick": args.quick},
-        {"suites": suites_payload,
-         "passed": all(r.passed for r in results)})
     lines = []
     for r in results:
         status = "ok" if r.passed else f"FAIL ({r.failures[0]})"
         lines.append(f"{r.name}: {r.checked} checks, {status}")
-    _emit(report, lines, args.json)
-    if not all(r.passed for r in results):
-        first = next(r for r in results if not r.passed)
-        print(f"verification failed: {first.failures[0]}", file=sys.stderr)
-        return 2
-    return 0
+    return lines, {"params": {"quick": args.quick},
+                   "result": {"suites": [asdict(r) for r in results],
+                              "passed": all(r.passed for r in results)}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,18 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=0)
     p.add_argument("--truncation", type=int)
 
-    p = add("span", _cmd_span, "span upper-bound certificates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--prime", type=int)
-    p.add_argument("--prime-bound", type=int,
-                   help="sweep odd primes up to this bound (default 4n)")
-
-    p = add("immersion", _cmd_immersion, "non-immersion certificates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--prime", type=int)
-    p.add_argument("--prime-bound", type=int)
+    for name, help_text in (("span", "span upper-bound certificates"),
+                            ("immersion", "non-immersion certificates")):
+        p = add(name, _cmd_certificates, help_text)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--weights", required=True)
+        p.add_argument("--prime", type=int)
+        p.add_argument("--prime-bound", type=int,
+                       help="sweep odd primes up to this bound (default 4n)")
 
     p = add("complement", _cmd_complement,
             "complement rank bound over complex projective space")
@@ -542,9 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _bind_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        lines, fields = args.func(args)
     except ValueError as exc:
         print(f"pstiefel: error: {exc}", file=sys.stderr)
         return 1
@@ -552,6 +450,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pstiefel: internal invariant violation: {exc}",
               file=sys.stderr)
         return 2
+    report = _stringify({"command": args.command, "certificates": [],
+                         "diagnostics": [], "claim_checks": [], **fields})
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    # only verify reports a verdict; a failed suite exits 2
+    if fields["result"].get("passed") is False:
+        failure = next(f for suite in fields["result"]["suites"]
+                       for f in suite["failures"])
+        print(f"verification failed: {failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

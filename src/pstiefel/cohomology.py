@@ -19,9 +19,9 @@ as square-zero polynomial relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .ring import Residue, is_prime
+from .ring import is_prime
 from .weights import WeightTuple, homogeneous_sum
 
 
@@ -89,6 +89,8 @@ class PresentationCheck:
     total_rank: int
     expected_rank: int
     palindromic: bool
+    # the coefficients checked, kept out of failure messages
+    poincare: list[int] = field(repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -102,10 +104,11 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def transgression_coefficient(params: StiefelParams, j: int, p: int) -> Residue:
+def transgression_coefficient(params: StiefelParams, j: int, p: int) -> int:
     """Coefficient of x^j hit by the degree-(2j-1) sphere generator.
 
-    Equals -(-1)^j h_j(weights) mod p; defined for n-k < j <= n.
+    Equals -(-1)^j h_j(weights) mod p, in [0, p); defined for
+    n-k < j <= n.
     """
     _require_prime(p)
     if not params.n - params.k < j <= params.n:
@@ -113,7 +116,7 @@ def transgression_coefficient(params: StiefelParams, j: int, p: int) -> Residue:
             f"transgression index {j} outside "
             f"({params.n - params.k}, {params.n}]")
     sign = 1 if j % 2 else -1
-    return Residue(sign * homogeneous_sum(params.ell, j), p)
+    return sign * homogeneous_sum(params.ell, j) % p
 
 
 def nilpotency_order(params: StiefelParams, p: int) -> int:
@@ -190,4 +193,5 @@ def check_presentation_invariants(
         total_rank=sum(poly),
         expected_rank=pres.nilpotency_order * 2 ** (params.k - 1),
         palindromic=poly == poly[::-1],
+        poincare=poly,
     )

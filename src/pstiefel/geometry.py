@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
-from .ring import Residue, is_prime, p_adic_valuation, primes_upto
+from .ring import is_prime, p_adic_valuation, primes_upto
 from .series import TruncatedSeries
 from .weights import WeightTuple, homogeneous_sum, homogeneous_sum_pair
 
@@ -53,32 +53,30 @@ def _one_minus_square(c: int, truncation: int, modulus: int) -> TruncatedSeries:
     return TruncatedSeries([1, 0, -c * c], truncation, modulus)
 
 
-def tangent_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
-                       truncation: int | None = None) -> TruncatedSeries:
-    """Tangent Pontrjagin series, exact over Z or reduced mod m."""
+def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
+                truncation: int | None, sign: int) -> TruncatedSeries:
+    """The tangent series for sign 1, its inverse (the normal one) for -1."""
     _require_two_frames(ell)
     if n < 2:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
     T = n if truncation is None else truncation
     l1, l2 = ell.weights
-    a = _one_minus_square(l1, T, modulus).int_pow(n)
-    b = _one_minus_square(l2, T, modulus).int_pow(n)
-    c = _one_minus_square(l2 - l1, T, modulus).inv()
+    a = _one_minus_square(l1, T, modulus).int_pow(sign * n)
+    b = _one_minus_square(l2, T, modulus).int_pow(sign * n)
+    c = _one_minus_square(l2 - l1, T, modulus).int_pow(-sign)
     return a.mul(b).mul(c)
+
+
+def tangent_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
+                       truncation: int | None = None) -> TruncatedSeries:
+    """Tangent Pontrjagin series, exact over Z or reduced mod m."""
+    return _pontrjagin(n, ell, modulus, truncation, 1)
 
 
 def normal_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
                       truncation: int | None = None) -> TruncatedSeries:
     """Stable normal Pontrjagin series, the inverse of the tangent one."""
-    _require_two_frames(ell)
-    if n < 2:
-        raise ValueError(f"need n >= 2 for two frames, got {n}")
-    T = n if truncation is None else truncation
-    l1, l2 = ell.weights
-    a = _one_minus_square(l1, T, modulus).int_pow(-n)
-    b = _one_minus_square(l2, T, modulus).int_pow(-n)
-    c = _one_minus_square(l2 - l1, T, modulus)
-    return a.mul(b).mul(c)
+    return _pontrjagin(n, ell, modulus, truncation, -1)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -96,7 +94,7 @@ class SpanCertificate:
 
     prime: int
     index: int
-    witness: Residue
+    witness: int
     span_bound: int
 
     def __post_init__(self) -> None:
@@ -117,7 +115,7 @@ class ImmersionCertificate:
 
     prime: int
     index: int
-    witness: Residue
+    witness: int
     certified_dim: int
     claimed_dim: int
 
@@ -131,87 +129,94 @@ class ImmersionCertificate:
                 "certified dimension must be one below the claimed one")
 
 
-def span_certificate(n: int, ell: WeightTuple, p: int) -> SpanCertificate | None:
-    """Best direct span bound mod p: the largest admissible index with a
-    nonzero tangent Pontrjagin coefficient. None when every admissible
-    coefficient vanishes."""
+def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, make):
+    """make(index, witness) at the largest admissible index whose
+    coefficient in pontrjagin(n, ell) is nonzero mod p; None when every
+    admissible coefficient vanishes."""
     _require_two_frames(ell)
     _require_odd_prime(p)
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
     if order < 3:
         return None
-    series = tangent_pontrjagin(n, ell, modulus=p, truncation=order)
+    series = pontrjagin(n, ell, modulus=p, truncation=order)
     for i in range((order - 1) // 2, 0, -1):
         w = series.coeff(2 * i)
         if w:
-            return SpanCertificate(p, i, w, (4 * n - 5) - 2 * i)
+            return make(i, w)
     return None
+
+
+# The engine functions are passed by global name at each call, so that
+# rebinding a module name (tracing, monkeypatching) reaches them.
+
+def span_certificate(n: int, ell: WeightTuple, p: int) -> SpanCertificate | None:
+    """Best direct span bound mod p, from the tangent series."""
+    return _certificate(n, ell, p, tangent_pontrjagin, lambda i, w:
+                        SpanCertificate(p, i, w, (4 * n - 5) - 2 * i))
 
 
 def immersion_certificate(n: int, ell: WeightTuple,
                           p: int) -> ImmersionCertificate | None:
     """Best direct non-immersion bound mod p, from the normal series."""
+    return _certificate(n, ell, p, normal_pontrjagin, lambda j, w:
+                        ImmersionCertificate(p, j, w, (4 * n - 6) + 2 * j,
+                                             (4 * n - 5) + 2 * j))
+
+
+# Largest prime bound a sweep accepts: its sieve takes one byte per
+# integer, and each prime costs a series computation.
+MAX_PRIME_BOUND = 10 ** 6
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """All certificates for odd primes up to a bound, plus the best."""
+
+    n: int
+    ell: WeightTuple
+    prime_bound: int
+    certificates: tuple[SpanCertificate | ImmersionCertificate, ...]
+    best: SpanCertificate | ImmersionCertificate | None
+
+
+SpanSweep = ImmersionSweep = Sweep
+
+
+def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
+           rank) -> Sweep:
+    """certificate(n, ell, p) for every odd prime p <= prime_bound; the
+    best certificate is the one with the smallest rank(cert)."""
     _require_two_frames(ell)
-    _require_odd_prime(p)
-    order = nilpotency_order(StiefelParams(n, 2, ell), p)
-    if order < 3:
-        return None
-    series = normal_pontrjagin(n, ell, modulus=p, truncation=order)
-    for j in range((order - 1) // 2, 0, -1):
-        w = series.coeff(2 * j)
-        if w:
-            return ImmersionCertificate(
-                p, j, w, (4 * n - 6) + 2 * j, (4 * n - 5) + 2 * j)
-    return None
-
-
-@dataclass(frozen=True)
-class SpanSweep:
-    """All span certificates for odd primes up to a bound, plus the best."""
-
-    n: int
-    ell: WeightTuple
-    prime_bound: int
-    certificates: tuple[SpanCertificate, ...]
-    best: SpanCertificate | None
-
-
-@dataclass(frozen=True)
-class ImmersionSweep:
-    n: int
-    ell: WeightTuple
-    prime_bound: int
-    certificates: tuple[ImmersionCertificate, ...]
-    best: ImmersionCertificate | None
-
-
-def best_span_bound(n: int, ell: WeightTuple, prime_bound: int) -> SpanSweep:
-    """Sweep odd primes <= prime_bound; best = smallest span bound,
-    ties going to the smallest prime."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 for two frames, got {n}")
+    if not 0 <= prime_bound <= MAX_PRIME_BOUND:
+        raise ValueError(
+            f"prime bound must be in [0, {MAX_PRIME_BOUND}], "
+            f"got {prime_bound}")
     certs = []
     for p in primes_upto(prime_bound):
         if p == 2:
             continue
-        cert = span_certificate(n, ell, p)
+        cert = certificate(n, ell, p)
         if cert is not None:
             certs.append(cert)
-    best = min(certs, key=lambda c: (c.span_bound, c.prime), default=None)
-    return SpanSweep(n, ell, prime_bound, tuple(certs), best)
+    best = min(certs, key=rank, default=None)
+    return Sweep(n, ell, prime_bound, tuple(certs), best)
+
+
+def best_span_bound(n: int, ell: WeightTuple, prime_bound: int) -> Sweep:
+    """Sweep odd primes <= prime_bound; best = smallest span bound,
+    ties going to the smallest prime."""
+    return _sweep(n, ell, prime_bound, span_certificate,
+                  lambda c: (c.span_bound, c.prime))
 
 
 def best_immersion_bound(n: int, ell: WeightTuple,
-                         prime_bound: int) -> ImmersionSweep:
+                         prime_bound: int) -> Sweep:
     """Sweep odd primes <= prime_bound; best = largest certified dimension,
     ties going to the smallest prime."""
-    certs = []
-    for p in primes_upto(prime_bound):
-        if p == 2:
-            continue
-        cert = immersion_certificate(n, ell, p)
-        if cert is not None:
-            certs.append(cert)
-    best = min(certs, key=lambda c: (-c.certified_dim, c.prime), default=None)
-    return ImmersionSweep(n, ell, prime_bound, tuple(certs), best)
+    return _sweep(n, ell, prime_bound, immersion_certificate,
+                  lambda c: (-c.certified_dim, c.prime))
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,7 @@ class ClaimInstance:
     hypotheses: tuple[tuple[str, bool], ...]
     index: int | None
     admissible: bool | None
-    coefficient: Residue | None
+    coefficient: int | None
     claimed: int | None
     verdict: str
     notes: tuple[str, ...] = ()

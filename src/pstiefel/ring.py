@@ -1,73 +1,14 @@
 """Exact integer and modular arithmetic primitives.
 
-Everything here is arbitrary-precision and deterministic: residues carry
-their modulus, binomials mod p go through the base-p digit product, and
-primes come from a plain sieve. No floating point anywhere.
+Everything here is arbitrary-precision and deterministic: binomials mod
+p go through the base-p digit product, primes come from a plain sieve,
+and single primality questions from deterministic Miller-Rabin. No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z (modulus 0) or of Z/m (modulus m >= 2).
-
-    The representative is normalized to 0 <= value < modulus when the
-    modulus is positive.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 0 or self.modulus == 1:
-            raise ValueError(f"invalid modulus {self.modulus}")
-        if self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Residue):
-            return self.value == other.value and self.modulus == other.modulus
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        if self.modulus:
-            return f"{self.value} (mod {self.modulus})"
-        return str(self.value)
 
 
 def gcd_all(values: list[int] | tuple[int, ...]) -> int:
@@ -91,7 +32,7 @@ def p_adic_valuation(p: int, n: int) -> int:
     return e
 
 
-def lucas_binom(n: int, r: int, p: int) -> Residue:
+def lucas_binom(n: int, r: int, p: int) -> int:
     """Binomial coefficient C(n, r) mod p via the base-p digit product.
 
     Each base-p digit pair contributes C(n_i, r_i); any digit with
@@ -105,11 +46,11 @@ def lucas_binom(n: int, r: int, p: int) -> Residue:
     while n or r:
         ni, ri = n % p, r % p
         if ri > ni:
-            return Residue(0, p)
+            return 0
         result = result * math.comb(ni, ri) % p
         n //= p
         r //= p
-    return Residue(result, p)
+    return result
 
 
 def primes_upto(bound: int) -> list[int]:
@@ -124,17 +65,36 @@ def primes_upto(bound: int) -> list[int]:
     return [q for q in range(2, bound + 1) if sieve[q]]
 
 
+# As Miller-Rabin bases, the first 13 primes decide every n below the
+# limit (Sorenson and Webster, Math. Comp. 86, 2017).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (small ranges only)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality below MILLER_RABIN_LIMIT (ValueError above it):
+    trial division by SMALL_PRIMES, then Miller-Rabin with them as bases."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is too large: primality is decided only below "
+            f"{MILLER_RABIN_LIMIT}")
+    for q in SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < SMALL_PRIMES[-1] ** 2:
+        return n > 1
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True

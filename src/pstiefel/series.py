@@ -13,8 +13,6 @@ by the usual triangular recursion, which is exact.
 
 from __future__ import annotations
 
-from .ring import Residue
-
 
 class TruncatedSeries:
     __slots__ = ("coeffs", "modulus")
@@ -45,11 +43,12 @@ class TruncatedSeries:
     def one(cls, truncation: int, modulus: int = 0) -> "TruncatedSeries":
         return cls([1], truncation, modulus)
 
-    def coeff(self, i: int) -> Residue:
+    def coeff(self, i: int) -> int:
+        """Coefficient of x^i, reduced to [0, modulus) when modulus > 0."""
         if not 0 <= i < self.truncation:
             raise IndexError(
                 f"index {i} outside truncation {self.truncation}")
-        return Residue(self.coeffs[i], self.modulus)
+        return self.coeffs[i]
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])

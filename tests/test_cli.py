@@ -203,6 +203,39 @@ class TestErrorPaths:
         assert "invariant violation" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["span", "--n", "-3", "--weights", "1,2"],
+        ["immersion", "--n", "0", "--weights", "1,2"],
+        ["span", "--n", "7", "--weights", "1,2", "--prime-bound", "-5"],
+        ["immersion", "--n", "7", "--weights", "1,2",
+         "--prime-bound", "100000000000"],
+        ["span", "--n", "5", "--weights", "1,2",
+         "--prime", "3317044064679887385961983"],
+    ])
+    def test_exits_1_with_a_message(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pstiefel: error: ")
+
+    def test_large_prime_is_decided(self, capsys):
+        rc = main(["span", "--n", "5", "--weights", "1,2",
+                   "--prime", "1000000000000000003"])
+        assert rc == 0
+        assert "certificate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,weights", [
+        (["span", "--n", "5"], "-3,4"),
+        (["lens", "--d", "3", "--m", "7"], "-1,2"),
+    ])
+    def test_negative_weights_as_separate_token(self, capsys, argv, weights):
+        assert main(argv + [f"--weights={weights}", "--json"]) == 0
+        joined = capsys.readouterr()
+        assert main(argv + ["--weights", weights, "--json"]) == 0
+        assert capsys.readouterr() == joined
+
+
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
         rc = main(["verify", "--quick"])
@@ -231,6 +264,18 @@ class TestVerifyCommand:
         assert doc["result"]["passed"] is True
         names = [s["name"] for s in doc["result"]["suites"]]
         assert "nilpotency-vs-lucas" in names
+
+
+def test_cohomology_computes_the_poincare_polynomial_once(capsys,
+                                                           monkeypatch):
+    import pstiefel.cohomology as cohomology
+    calls = []
+    original = cohomology.poincare_polynomial
+    monkeypatch.setattr(cohomology, "poincare_polynomial",
+                        lambda pres: calls.append(pres) or original(pres))
+    assert main(["cohomology", "--n", "6", "--k", "3", "--weights", "1,1,2",
+                 "--prime", "3", "--json"]) == 0
+    assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -174,3 +174,10 @@ class TestInvariantChecks:
         bogus = CohomologyPresentation(3, 3, (7, 9))
         chk = check_presentation_invariants(bogus, pr)
         assert not chk.passed
+
+    def test_carries_the_polynomial_outside_its_repr(self):
+        pr = params(4, 2, (1, 1))
+        pres = presentation_odd(pr, 3)
+        chk = check_presentation_invariants(pres, pr)
+        assert chk.poincare == poincare_polynomial(pres)
+        assert "poincare" not in repr(chk)

@@ -1,5 +1,6 @@
 import pytest
 
+import pstiefel.geometry as geometry
 from pstiefel.cohomology import InvariantViolation, StiefelParams
 from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                ImmersionCertificate, LensParams,
@@ -74,11 +75,10 @@ class TestSpanCertificates:
             span_certificate(7, W(1, 2), 15)
 
     def test_certificate_invariants_enforced(self):
-        from pstiefel.ring import Residue
         with pytest.raises(InvariantViolation, match="zero witness"):
-            SpanCertificate(7, 2, Residue(0, 7), 19)
+            SpanCertificate(7, 2, 0, 19)
         with pytest.raises(InvariantViolation, match="index >= 1"):
-            SpanCertificate(7, 0, Residue(1, 7), 23)
+            SpanCertificate(7, 0, 1, 23)
 
     def test_sweep_pinned(self):
         sweep = best_span_bound(7, W(1, 2), 50)
@@ -110,9 +110,8 @@ class TestImmersionCertificates:
         assert immersion_certificate(2, W(1, 1), 3) is None
 
     def test_certificate_invariants_enforced(self):
-        from pstiefel.ring import Residue
         with pytest.raises(InvariantViolation, match="one below"):
-            ImmersionCertificate(7, 2, Residue(3, 7), 30, 33)
+            ImmersionCertificate(7, 2, 3, 30, 33)
 
     def test_sweep_pinned(self):
         sweep = best_immersion_bound(8, W(1, 8), 50)
@@ -131,6 +130,34 @@ class TestImmersionCertificates:
 
     def test_sweep_empty_below_first_odd_prime(self):
         assert best_immersion_bound(8, W(1, 8), 2).certificates == ()
+
+
+class TestSweepInput:
+    @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
+    def test_rejects_small_n_even_with_no_primes(self, sweep):
+        for n in (-3, 0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                sweep(n, W(1, 2), 0)
+
+    @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
+    def test_rejects_negative_prime_bound(self, sweep):
+        with pytest.raises(ValueError, match="prime bound"):
+            sweep(7, W(1, 2), -5)
+        assert sweep(7, W(1, 2), 0).best is None
+
+    def test_prime_bound_cap_is_checked_before_the_sieve(self, monkeypatch):
+        def no_sieve(bound):
+            raise AssertionError(f"sieve built up to {bound}")
+
+        monkeypatch.setattr(geometry, "primes_upto", no_sieve)
+        with pytest.raises(ValueError, match="prime bound"):
+            best_span_bound(7, W(1, 2), geometry.MAX_PRIME_BOUND + 1)
+        with pytest.raises(ValueError, match="prime bound"):
+            best_immersion_bound(7, W(1, 2), 10 ** 11)
+
+    def test_rejects_other_frame_counts(self):
+        with pytest.raises(ValueError, match="exactly two weights"):
+            best_span_bound(7, W(1, 2, 3), 0)
 
 
 class TestSpanClaimChecker:
@@ -222,7 +249,7 @@ class TestComplementRank:
         for n, ws in ((5, (1, 1, 1, 2)), (6, (1, -2)), (4, (3, 2))):
             rep = cp_complement_min_rank(n, W(*ws))
             comp = complement_chern(W(*ws), n + 1)
-            assert rep.reason_value == comp.coeff(rep.reason_index).value
+            assert rep.reason_value == comp.coeff(rep.reason_index)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,121 @@
+"""Golden CLI grid: exit code, stdout and stderr of every case, pinned.
+
+Each case is an argv for ``pstiefel.cli.main``; ``golden_cli.json``
+maps the space-joined argv to the sha256 of its (exit code, stdout,
+stderr), recorded from a known-good tree. A refactor that keeps the
+output keeps every digest.
+
+Re-record after an intended output change, then review the diff of the
+JSON file entry by entry:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+from pstiefel.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+PAIRS = ("1,2", "2,1", "1,-1", "1,8", "3,-2", "1,1")
+
+
+def _grid() -> list[list[str]]:
+    cases = []
+    for kind in ("span", "immersion"):
+        for n in (2, 3, 5, 8):
+            for ws in PAIRS:
+                base = [kind, "--n", str(n), "--weights", ws]
+                cases.append(base)
+                cases += [base + ["--prime", p] for p in ("3", "7")]
+        cases += [[kind, "--n", "7", "--weights", "1,2", "--prime-bound", b]
+                  for b in ("0", "2", "3", "50")]
+        cases += [[kind, "--n", "9", "--weights=-3,4"],
+                  [kind, "--n", "7", "--weights", "1,2", "--prime", "15"],
+                  [kind, "--n", "7", "--weights", "1,2", "--prime", "2"],
+                  [kind, "--n", "7", "--weights", "1,2,3", "--prime", "3"],
+                  [kind, "--n", "1", "--weights", "1,2", "--prime", "3"],
+                  [kind, "--n", "7", "--weights", "2,4"]]
+    for n in (2, 3, 5, 8, 9, 15, 21):
+        for ws in PAIRS:
+            cases.append(["check-claims", "--n", str(n), "--weights", ws])
+    for n in (2, 4, 8):
+        for ws in ("1,2", "1,8", "-2,3"):
+            for extra in ([], ["--modulus", "7"], ["--modulus", "3",
+                                                   "--truncation", "5"]):
+                cases.append(["pontrjagin", "--n", str(n),
+                              f"--weights={ws}"] + extra)
+    cases += [["pontrjagin", "--n", "1", "--weights", "1,2"],
+              ["pontrjagin", "--n", "4", "--weights", "1,2", "--modulus",
+               "1"]]
+    for n in (2, 3, 4, 6, 9):
+        for k, ws in ((1, "1"), (2, "1,1"), (2, "1,2"), (2, "2,-3"),
+                      (3, "1,1,2")):
+            if k > n:
+                continue
+            for p in ("2", "3"):
+                cases.append(["cohomology", "--n", str(n), "--k", str(k),
+                              "--weights", ws, "--prime", p])
+    cases += [["cohomology", "--n", "4", "--k", "5", "--weights", "1,1,1,1,1",
+               "--prime", "3"],
+              ["cohomology", "--n", "4", "--k", "2", "--weights", "1,1",
+               "--prime", "4"]]
+    for d in (1, 2, 3, 4):
+        for m in (2, 6, 7):
+            for ws in ("1,2", "1,-1", "3,1"):
+                cases.append(["lens", "--d", str(d), "--m", str(m),
+                              "--weights", ws])
+    cases += [["lens", "--d", "3", "--m", "7", "--weights", ws]
+              for ws in ("2,4", "0,0", "1,2,3", "1", "2,4,6")]
+    cases += [["lens", "--d", "0", "--m", "7", "--weights", "1,2"],
+              ["lens", "--d", "3", "--m", "1", "--weights", "1,2"]]
+    for n in (1, 2, 3, 4, 6):
+        for ws in ("1,-1", "1,2", "1,1,2", "3"):
+            cases.append(["complement", "--n", str(n), "--weights", ws])
+    cases.append(["complement", "--n", "0", "--weights", "1,2"])
+    for ws in ("1,-1", "1,2,3"):
+        cases += [["chern", "--weights", ws, "--n", "5"],
+                  ["chern", "--weights", ws, "--truncation", "4"],
+                  ["chern", "--weights", ws]]
+    cases += [["bogus"], ["span", "--n", "7"],
+              ["span", "--n", "7", "--weights", "1,two"],
+              ["check-claims", "--n", "abc", "--weights", "1,2"],
+              ["complement", "--n", "4"]]
+    return [case + mode for case in cases for mode in ([], ["--json"])]
+
+
+CASES = _grid()
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage text to the terminal width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_grid():
+    golden = json.loads(GOLDEN.read_text())
+    got = {" ".join(argv): digest(argv) for argv in CASES}
+    assert sorted(got) == sorted(golden)
+    changed = [key for key in got if got[key] != golden[key]]
+    assert not changed, f"{len(changed)} cases changed, e.g. {changed[:5]}"
+
+
+if __name__ == "__main__":
+    table = {" ".join(argv): digest(argv) for argv in CASES}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(table)} cases in {GOLDEN}", file=sys.stderr)

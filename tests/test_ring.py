@@ -3,53 +3,8 @@ import random
 
 import pytest
 
-from pstiefel.ring import (Residue, gcd_all, is_prime, lucas_binom,
-                           p_adic_valuation, primes_upto)
-
-
-class TestResidue:
-    def test_normalizes_on_construction(self):
-        assert Residue(10, 7).value == 3
-        assert Residue(-1, 7).value == 6
-        assert Residue(-9, 3).value == 0
-
-    def test_integer_modulus_zero_keeps_value(self):
-        assert Residue(-42, 0).value == -42
-
-    def test_arithmetic(self):
-        a, b = Residue(5, 7), Residue(4, 7)
-        assert (a + b).value == 2
-        assert (a - b).value == 1
-        assert (a * b).value == 6
-        assert (-a).value == 2
-
-    def test_arithmetic_over_integers(self):
-        a, b = Residue(5, 0), Residue(-8, 0)
-        assert (a * b).value == -40
-        assert (a + b).value == -3
-
-    def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="modulus mismatch"):
-            Residue(1, 3) + Residue(1, 5)
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            Residue(1, 1)
-        with pytest.raises(ValueError):
-            Residue(1, -3)
-
-    def test_equality_against_ints(self):
-        assert Residue(10, 7) == 3
-        assert Residue(10, 7) == Residue(3, 7)
-        assert Residue(3, 7) != Residue(3, 5)
-        assert bool(Residue(7, 7)) is False
-        assert int(Residue(9, 7)) == 2
-
-    def test_hashable(self):
-        assert len({Residue(3, 7), Residue(10, 7)}) == 1
-
-    def test_repr(self):
-        assert repr(Residue(3, 7)) == "3 (mod 7)"
+from pstiefel.ring import (MILLER_RABIN_LIMIT, gcd_all, is_prime,
+                           lucas_binom, p_adic_valuation, primes_upto)
 
 
 def test_gcd_all_pinned_values():
@@ -108,3 +63,35 @@ def test_is_prime_agrees_with_sieve():
     table = set(primes_upto(500))
     for n in range(-3, 501):
         assert is_prime(n) == (n in table)
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Oracle for is_prime: odd trial divisors up to the square root."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+class TestMillerRabin:
+    def test_matches_trial_division_below_1e5(self):
+        for n in range(-3, 10 ** 5):
+            assert is_prime(n) == is_prime_by_trial_division(n), n
+
+    def test_large_primes_and_strong_pseudoprimes(self):
+        assert is_prime(1000000000000000003)
+        assert is_prime(3317044064679887384961997)
+        # strong pseudoprimes to the bases 2..23 and 2..37 respectively
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(1000000000000000003 * 1000003)
+
+    def test_rejects_input_beyond_the_proven_range(self):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(MILLER_RABIN_LIMIT)
