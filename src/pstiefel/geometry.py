@@ -15,10 +15,14 @@ admissible power of x is an honest nonvanishing integral class:
     out immersions into euclidean space of dimension 4n - 6 + 2j.
 
 Admissible means x^{2i} survives in mod-p cohomology, i.e. 2i is below
-the nilpotency order. Certificates are computed from the truncated
-series directly; no closed-form shortcut is ever used, which is the
-point: the closed-form claims are checked against these computations
-and the verdict (AGREE or DISCREPANT) is reported as data.
+the nilpotency order. Reduction mod p is a ring map, so one exact
+series over Z serves every prime: a certificate reduces that series'
+coefficients mod p, and a prime sweep or claim check builds the series
+once and reads it for each of its primes. No closed-form shortcut is
+ever used, which is the point: the closed-form claims are checked
+against these computations and the verdict (AGREE or DISCREPANT) is
+reported as data. The dense mod-p series (``modulus=p``) stays as an
+independent route to the same coefficients.
 
 The complement-rank reports answer a related stable question over
 complex projective spaces and lens spaces: how small can a complement
@@ -43,10 +47,12 @@ DISCREPANT = "DISCREPANT"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-def _require_two_frames(ell: WeightTuple) -> None:
+def _require_two_frames(ell: WeightTuple, n: int | None = None) -> None:
     if len(ell) != 2:
         raise ValueError(
             f"Pontrjagin computations need exactly two weights, got {len(ell)}")
+    if n is not None and n < 2:
+        raise ValueError(f"need n >= 2 for two frames, got {n}")
 
 
 def _one_minus_square(c: int, truncation: int, modulus: int) -> TruncatedSeries:
@@ -56,9 +62,7 @@ def _one_minus_square(c: int, truncation: int, modulus: int) -> TruncatedSeries:
 def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
                 truncation: int | None, sign: int) -> TruncatedSeries:
     """The tangent series for sign 1, its inverse (the normal one) for -1."""
-    _require_two_frames(ell)
-    if n < 2:
-        raise ValueError(f"need n >= 2 for two frames, got {n}")
+    _require_two_frames(ell, n)
     T = n if truncation is None else truncation
     l1, l2 = ell.weights
     a = _one_minus_square(l1, T, modulus).int_pow(sign * n)
@@ -129,18 +133,25 @@ class ImmersionCertificate:
                 "certified dimension must be one below the claimed one")
 
 
-def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, make):
+def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
     """make(index, witness) at the largest admissible index whose
-    coefficient in pontrjagin(n, ell) is nonzero mod p; None when every
-    admissible coefficient vanishes."""
+    coefficient in the integer series pontrjagin(n, ell) is nonzero mod
+    p; None when every admissible coefficient vanishes. series, when
+    given, is that integer series truncated at the nilpotency order or
+    beyond; otherwise it is built at exactly that truncation."""
     _require_two_frames(ell)
     _require_odd_prime(p)
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
+    if series is not None and (series.modulus or series.truncation < order):
+        raise ValueError(
+            f"need an integer series truncated at {order} or beyond, got "
+            f"truncation {series.truncation} modulo {series.modulus}")
     if order < 3:
         return None
-    series = pontrjagin(n, ell, modulus=p, truncation=order)
+    if series is None:
+        series = pontrjagin(n, ell, truncation=order)
     for i in range((order - 1) // 2, 0, -1):
-        w = series.coeff(2 * i)
+        w = series.coeff(2 * i) % p
         if w:
             return make(i, w)
     return None
@@ -149,16 +160,21 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, make):
 # The engine functions are passed by global name at each call, so that
 # rebinding a module name (tracing, monkeypatching) reaches them.
 
-def span_certificate(n: int, ell: WeightTuple, p: int) -> SpanCertificate | None:
-    """Best direct span bound mod p, from the tangent series."""
-    return _certificate(n, ell, p, tangent_pontrjagin, lambda i, w:
+def span_certificate(n: int, ell: WeightTuple, p: int,
+                     series: TruncatedSeries | None = None
+                     ) -> SpanCertificate | None:
+    """Best direct span bound mod p, from the integer tangent series
+    (tangent_pontrjagin(n, ell), built here unless given)."""
+    return _certificate(n, ell, p, tangent_pontrjagin, series, lambda i, w:
                         SpanCertificate(p, i, w, (4 * n - 5) - 2 * i))
 
 
-def immersion_certificate(n: int, ell: WeightTuple,
-                          p: int) -> ImmersionCertificate | None:
-    """Best direct non-immersion bound mod p, from the normal series."""
-    return _certificate(n, ell, p, normal_pontrjagin, lambda j, w:
+def immersion_certificate(n: int, ell: WeightTuple, p: int,
+                          series: TruncatedSeries | None = None
+                          ) -> ImmersionCertificate | None:
+    """Best direct non-immersion bound mod p, from the integer normal
+    series (normal_pontrjagin(n, ell), built here unless given)."""
+    return _certificate(n, ell, p, normal_pontrjagin, series, lambda j, w:
                         ImmersionCertificate(p, j, w, (4 * n - 6) + 2 * j,
                                              (4 * n - 5) + 2 * j))
 
@@ -183,21 +199,22 @@ SpanSweep = ImmersionSweep = Sweep
 
 
 def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
-           rank) -> Sweep:
-    """certificate(n, ell, p) for every odd prime p <= prime_bound; the
-    best certificate is the one with the smallest rank(cert)."""
-    _require_two_frames(ell)
-    if n < 2:
-        raise ValueError(f"need n >= 2 for two frames, got {n}")
+           pontrjagin, rank) -> Sweep:
+    """certificate(n, ell, p, series) for every odd prime p <= prime_bound,
+    all reading the one integer series pontrjagin(n, ell); the best
+    certificate is the one with the smallest rank(cert)."""
+    _require_two_frames(ell, n)
     if not 0 <= prime_bound <= MAX_PRIME_BOUND:
         raise ValueError(
             f"prime bound must be in [0, {MAX_PRIME_BOUND}], "
             f"got {prime_bound}")
+    primes = [p for p in primes_upto(prime_bound) if p != 2]
+    # the nilpotency order of a two-frame quotient is n - 1 or n, so
+    # truncation n serves every prime
+    series = pontrjagin(n, ell, truncation=n) if primes else None
     certs = []
-    for p in primes_upto(prime_bound):
-        if p == 2:
-            continue
-        cert = certificate(n, ell, p)
+    for p in primes:
+        cert = certificate(n, ell, p, series)
         if cert is not None:
             certs.append(cert)
     best = min(certs, key=rank, default=None)
@@ -207,7 +224,7 @@ def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
 def best_span_bound(n: int, ell: WeightTuple, prime_bound: int) -> Sweep:
     """Sweep odd primes <= prime_bound; best = smallest span bound,
     ties going to the smallest prime."""
-    return _sweep(n, ell, prime_bound, span_certificate,
+    return _sweep(n, ell, prime_bound, span_certificate, tangent_pontrjagin,
                   lambda c: (c.span_bound, c.prime))
 
 
@@ -216,7 +233,7 @@ def best_immersion_bound(n: int, ell: WeightTuple,
     """Sweep odd primes <= prime_bound; best = largest certified dimension,
     ties going to the smallest prime."""
     return _sweep(n, ell, prime_bound, immersion_certificate,
-                  lambda c: (-c.certified_dim, c.prime))
+                  normal_pontrjagin, lambda c: (-c.certified_dim, c.prime))
 
 
 @dataclass(frozen=True)
@@ -253,6 +270,8 @@ class ClaimCheck:
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
+    if n == 0:
+        raise ValueError("0 has no finite list of prime divisors")
     n = abs(n)
     out = []
     d = 3
@@ -279,21 +298,20 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     of DISCREPANT means the hypotheses hold but the direct coefficient
     vanishes (or sits above the nilpotency order), so the closed-form
     argument's witness is absent; it is reported as data, not an error.
+    Every qualifying prime reads one integer tangent series at
+    truncation n, which holds both indices.
     """
-    _require_two_frames(ell)
+    _require_two_frames(ell, n)
     l1, l2 = ell.weights
     gap = l2 - l1
+    i1 = (n - 2) // 2
+    i2 = (n - 1) // 2
+    primes = [p for p in _odd_prime_divisors(n) if gap % p]
+    series = tangent_pontrjagin(n, ell, truncation=n) if primes else None
     instances = []
-    for p in _odd_prime_divisors(n):
-        if gap % p == 0:
-            continue
+    for p in primes:
         order = nilpotency_order(StiefelParams(n, 2, ell), p)
-        i1 = (n - 2) // 2
-        i2 = (n - 1) // 2
-        T = max(order, 2 * i2 + 1, 2 * i1 + 1)
-        series = tangent_pontrjagin(n, ell, modulus=p, truncation=T)
-
-        w1 = series.coeff(2 * i1)
+        w1 = series.coeff(2 * i1) % p
         adm1 = 2 * i1 <= order - 1
         notes1 = ()
         if i1 == 0:
@@ -318,7 +336,7 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
                  ("n odd", n % 2 == 1),
                  ("p divides l1^n - l2^n", pow_gap))
         if n % 2 == 1 and pow_gap:
-            w2 = series.coeff(2 * i2)
+            w2 = series.coeff(2 * i2) % p
             adm2 = 2 * i2 <= order - 1
             instances.append(ClaimInstance(
                 prime=p,
@@ -351,19 +369,19 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     claim puts the quotient outside euclidean space of dimension
     4n - 5 + 2*floor((n-3)/2) through the normal coefficient at index
     floor((n-3)/2); the direct vanishing rule certifies one dimension
-    less, recorded alongside.
+    less, recorded alongside. Every qualifying prime reads one integer
+    normal series at truncation n.
     """
-    _require_two_frames(ell)
+    _require_two_frames(ell, n)
     l1, l2 = ell.weights
+    # n = 2 has no qualifying prime, so j >= 0 below
+    j = (n - 3) // 2
+    primes = _odd_prime_divisors(math.gcd(n - 1, l2 - l1))
+    series = normal_pontrjagin(n, ell, truncation=n) if primes else None
     instances = []
-    for p in _odd_prime_divisors(math.gcd(n - 1, l2 - l1)):
-        j = (n - 3) // 2
-        if j < 0:
-            continue
+    for p in primes:
         order = nilpotency_order(StiefelParams(n, 2, ell), p)
-        T = max(order, 2 * j + 1)
-        series = normal_pontrjagin(n, ell, modulus=p, truncation=T)
-        w = series.coeff(2 * j)
+        w = series.coeff(2 * j) % p
         adm = 2 * j <= order - 1
         notes = ()
         if j == 0:

@@ -219,6 +219,14 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith("pstiefel: error: ")
 
+    @pytest.mark.parametrize("n,weights", [("0", "1,2"), ("1", "1,1"),
+                                           ("1", "1,2")])
+    def test_claim_checks_need_n_at_least_two(self, capsys, n, weights):
+        assert main(["check-claims", "--n", n, "--weights", weights]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n >= 2" in captured.err
+
     def test_large_prime_is_decided(self, capsys):
         rc = main(["span", "--n", "5", "--weights", "1,2",
                    "--prime", "1000000000000000003"])

@@ -1,0 +1,191 @@
+"""One exact integer Pontrjagin series, reduced per prime.
+
+Certificates, sweeps and claim checks read the integer series and
+reduce its coefficients mod p. The oracle here builds the series mod p
+directly (``modulus=p``, dense ``int_pow``) and scans it; both routes
+must give the same answers.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pstiefel.geometry as geometry
+from pstiefel.cohomology import StiefelParams, nilpotency_order
+from pstiefel.geometry import (best_immersion_bound, best_span_bound,
+                               check_immersion_theorem, check_span_theorem,
+                               immersion_certificate, normal_pontrjagin,
+                               span_certificate, tangent_pontrjagin)
+from pstiefel.ring import primes_upto
+from pstiefel.weights import WeightTuple
+
+KINDS = {
+    "span": (tangent_pontrjagin, span_certificate, best_span_bound,
+             check_span_theorem),
+    "immersion": (normal_pontrjagin, immersion_certificate,
+                  best_immersion_bound, check_immersion_theorem),
+}
+
+# Primitive pairs with |l| <= 6, one per class under swapping and a global
+# sign change, which fix the series and the nilpotency order.
+PAIRS = sorted({min((a, b), (b, a), (-a, -b), (-b, -a))
+                for a in range(-6, 7) for b in range(-6, 7)
+                if math.gcd(a, b) == 1})
+
+
+def odd_primes(bound):
+    return [p for p in primes_upto(bound) if p != 2]
+
+
+def oracle_scan(kind, n, ell, p):
+    """(index, witness) at the largest admissible index whose coefficient
+    of the dense mod-p series is nonzero, or None."""
+    order = nilpotency_order(StiefelParams(n, 2, ell), p)
+    if order < 3:
+        return None
+    series = KINDS[kind][0](n, ell, modulus=p, truncation=order)
+    for i in range((order - 1) // 2, 0, -1):
+        if series.coeff(2 * i):
+            return i, series.coeff(2 * i)
+    return None
+
+
+def scanned(cert):
+    return None if cert is None else (cert.index, cert.witness)
+
+
+def grid():
+    # every n in 2..40 with one pair class per kind; the classes rotate
+    # so each one meets every kind, at more than one size for most
+    for n in range(2, 41):
+        for k, kind in enumerate(KINDS):
+            yield kind, n, PAIRS[(3 * n + 7 * k) % len(PAIRS)]
+
+
+class TestAgainstDenseOracle:
+    def test_sweeps_and_single_primes(self):
+        for kind, n, ws in grid():
+            _, certificate, sweep, _ = KINDS[kind]
+            ell = WeightTuple(ws)
+            result = sweep(n, ell, 4 * n)
+            by_prime = {c.prime: scanned(c) for c in result.certificates}
+            for p in odd_primes(4 * n):
+                want = oracle_scan(kind, n, ell, p)
+                assert by_prime.get(p) == want, (kind, n, ws, p)
+                assert scanned(certificate(n, ell, p)) == want, (
+                    kind, n, ws, p)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_claim_coefficients(self, kind):
+        pontrjagin, _, _, check = KINDS[kind]
+        checked = 0
+        for n in range(2, 41):
+            for ws in PAIRS:
+                ell = WeightTuple(ws)
+                for inst in check(n, ell).instances:
+                    if inst.index is None:
+                        continue
+                    order = nilpotency_order(StiefelParams(n, 2, ell),
+                                             inst.prime)
+                    series = pontrjagin(
+                        n, ell, modulus=inst.prime,
+                        truncation=max(order, 2 * inst.index + 1))
+                    assert inst.coefficient == series.coeff(2 * inst.index)
+                    checked += 1
+        assert checked > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), ws=st.sampled_from(PAIRS),
+       kind=st.sampled_from(sorted(KINDS)), pick=st.integers(0, 10 ** 6))
+def test_every_route_matches_the_oracle(n, ws, kind, pick):
+    pontrjagin, certificate, sweep, _ = KINDS[kind]
+    ell = WeightTuple(ws)
+    primes = odd_primes(4 * n)
+    p = primes[pick % len(primes)]
+    want = oracle_scan(kind, n, ell, p)
+    assert scanned(certificate(n, ell, p)) == want
+    longer = pontrjagin(n, ell, truncation=n + 3)
+    assert scanned(certificate(n, ell, p, longer)) == want
+    swept = sweep(n, ell, 4 * n).certificates
+    assert {c.prime: scanned(c) for c in swept}.get(p) == want
+
+
+class TestSeriesArgument:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_a_reduced_series(self, kind):
+        pontrjagin, certificate, _, _ = KINDS[kind]
+        ell = WeightTuple((1, 2))
+        with pytest.raises(ValueError, match="integer series"):
+            certificate(7, ell, 7, pontrjagin(7, ell, modulus=7))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejects_a_series_below_the_order(self, kind):
+        pontrjagin, certificate, _, _ = KINDS[kind]
+        ell = WeightTuple((1, 2))
+        order = nilpotency_order(StiefelParams(7, 2, ell), 7)
+        with pytest.raises(ValueError,
+                           match=f"truncated at {order} or beyond"):
+            certificate(7, ell, 7, pontrjagin(7, ell, truncation=order - 1))
+        assert certificate(7, ell, 7, pontrjagin(7, ell, truncation=order))
+
+
+class TestOneBuildPerCall:
+    """Each sweep or claim check builds the integer series itself, once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name in ("tangent_pontrjagin", "normal_pontrjagin"):
+            def counted(*args, _build=getattr(geometry, name), **kwargs):
+                calls.append(kwargs)
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(geometry, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
+    def test_a_sweep_builds_once_whatever_the_bound(self, builds, sweep):
+        ell = WeightTuple((1, 2))
+        for bound in (3, 40, 200):
+            builds.clear()
+            assert sweep(20, ell, bound).certificates
+            assert builds == [{"truncation": 20}]
+
+    @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
+    def test_no_odd_prime_builds_nothing(self, builds, sweep):
+        sweep(20, WeightTuple((1, 2)), 2)
+        assert builds == []
+
+    def test_identical_sweeps_build_twice(self, builds):
+        first = best_span_bound(20, WeightTuple((1, 2)), 80)
+        assert best_span_bound(20, WeightTuple((1, 2)), 80) == first
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("check,n,ws,primes", [
+        (check_span_theorem, 21, (2, 1), 2),
+        (check_span_theorem, 5, (1, 6), 0),
+        (check_immersion_theorem, 31, (1, 31), 2),
+        (check_immersion_theorem, 4, (1, 2), 0),
+    ])
+    def test_a_claim_check_builds_at_most_once(self, builds, check, n, ws,
+                                               primes):
+        result = check(n, WeightTuple(ws))
+        assert len({inst.prime for inst in result.instances}) == primes
+        assert len(builds) == min(primes, 1)
+
+
+class TestClaimCheckerInput:
+    @pytest.mark.parametrize("check", [check_span_theorem,
+                                       check_immersion_theorem])
+    @pytest.mark.parametrize("n,ws", [(0, (1, 2)), (1, (1, 1)), (1, (1, 2)),
+                                      (-3, (1, 2))])
+    def test_rejects_n_below_two(self, check, n, ws):
+        with pytest.raises(ValueError, match="n >= 2"):
+            check(n, WeightTuple(ws))
+
+    def test_odd_prime_divisors_rejects_zero(self):
+        with pytest.raises(ValueError, match="0 has no"):
+            geometry._odd_prime_divisors(0)
+        assert geometry._odd_prime_divisors(-90) == [3, 5]
