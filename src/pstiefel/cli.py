@@ -24,7 +24,7 @@ from . import verify as verify_mod
 from .cohomology import (CohomologyPresentation, InvariantViolation,
                          StiefelParams, check_presentation_invariants,
                          presentation_mod2, presentation_odd)
-from .geometry import (CERTIFICATE_BASIS, ClaimCheck, LensParams,
+from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
                        RankBoundReport, SpanCertificate, best_immersion_bound,
                        best_span_bound, check_immersion_theorem,
                        check_span_theorem, cp_complement_min_rank,
@@ -123,17 +123,6 @@ def _certificate_payload(cert) -> dict:
     else:
         payload.update(bound=cert.certified_dim, claimed=cert.claimed_dim)
     return payload
-
-
-def _claim_check_payload(check: ClaimCheck) -> list[dict]:
-    out = []
-    for inst in check.instances:
-        entry = {**asdict(inst), "kind": check.kind,
-                 "hypotheses": dict(inst.hypotheses)}
-        if check.kind == "immersion" and inst.claimed is not None:
-            entry["certified"] = inst.claimed - 1
-        out.append(entry)
-    return out
 
 
 def _rank_report(rep: RankBoundReport) -> tuple[dict, str]:
@@ -251,6 +240,8 @@ def _cmd_certificates(args):
         return {"certified_non_immersion_dim": c and c.certified_dim,
                 "claimed_dim": c and c.claimed_dim}
 
+    if args.prime is not None and args.prime_bound is not None:
+        raise ValueError("give --prime or --prime-bound, not both")
     params = {"n": args.n, "weights": list(ell.weights)}
     diagnostics = []
     # Look the engine functions up at call time: a table built at import
@@ -327,36 +318,32 @@ def _cmd_lens(args):
 
 def _cmd_check_claims(args):
     ell = _parse_weights(args.weights)
-    span_check = check_span_theorem(args.n, ell)
-    imm_check = check_immersion_theorem(args.n, ell)
-    claim_payload = (_claim_check_payload(span_check)
-                     + _claim_check_payload(imm_check))
-    diagnostics = []
-    if span_check.vacuous:
-        diagnostics.append("span claim vacuous: no qualifying prime")
-    if imm_check.vacuous:
-        diagnostics.append("immersion claim vacuous: no qualifying prime")
-    result = {
-        "span_verdicts": list(span_check.verdicts),
-        "immersion_verdicts": list(imm_check.verdicts),
-        "span_vacuous": span_check.vacuous,
-        "immersion_vacuous": imm_check.vacuous,
-    }
-    lines = []
-    for entry in claim_payload:
-        desc = f"{entry['kind']} part {entry['part']} p={entry['prime']}: " \
-               f"{entry['verdict']}"
-        if entry["verdict"] != "NOT_APPLICABLE":
-            desc += (f" (index {entry['index']}, "
-                     f"coefficient {entry['coefficient']}, "
-                     f"claimed {entry['claimed']})")
-        lines.append(desc)
-    lines += diagnostics
-    if not lines:
-        lines = ["both claims vacuous: no qualifying primes"]
-    return lines, {"params": {"n": args.n, "weights": list(ell.weights)},
-                   "result": result, "diagnostics": diagnostics,
-                   "claim_checks": claim_payload}
+    checks = (check_span_theorem(args.n, ell),
+              check_immersion_theorem(args.n, ell))
+    result, diagnostics, claim_payload, lines = {}, [], [], []
+    for check in checks:
+        result[f"{check.kind}_verdicts"] = list(check.verdicts)
+        result[f"{check.kind}_vacuous"] = check.vacuous
+        if check.vacuous:
+            diagnostics.append(
+                f"{check.kind} claim vacuous: no qualifying prime")
+        for inst in check.instances:
+            entry = {**asdict(inst), "kind": check.kind,
+                     "hypotheses": dict(inst.hypotheses)}
+            if check.kind == "immersion" and inst.claimed is not None:
+                entry["certified"] = inst.claimed - 1
+            claim_payload.append(entry)
+            desc = f"{check.kind} part {inst.part} p={inst.prime}: " \
+                   f"{inst.verdict}"
+            if inst.verdict != NOT_APPLICABLE:
+                desc += (f" (index {inst.index}, "
+                         f"coefficient {inst.coefficient}, "
+                         f"claimed {inst.claimed})")
+            lines.append(desc)
+    return lines + diagnostics, {
+        "params": {"n": args.n, "weights": list(ell.weights)},
+        "result": result, "diagnostics": diagnostics,
+        "claim_checks": claim_payload}
 
 
 def _cmd_verify(args):

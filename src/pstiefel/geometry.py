@@ -288,6 +288,22 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _claim(p, part, hypotheses, series, order, index, claimed, notes=()):
+    """The verdict rule of every claim instance: NOT_APPLICABLE, with
+    nothing computed, when index is None (a hypothesis fails); else AGREE
+    when the integer series' coefficient of x^{2*index} is nonzero mod p
+    and admissible (2*index below the nilpotency order), DISCREPANT when
+    not."""
+    if index is None:
+        return ClaimInstance(p, part, hypotheses, None, None, None, None,
+                             NOT_APPLICABLE)
+    coefficient = series.coeff(2 * index) % p
+    admissible = 2 * index <= order - 1
+    verdict = AGREE if coefficient and admissible else DISCREPANT
+    return ClaimInstance(p, part, hypotheses, index, admissible, coefficient,
+                         claimed, verdict, notes)
+
+
 def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     """Check the closed-form span bounds against the direct series.
 
@@ -306,59 +322,25 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     gap = l2 - l1
     i1 = (n - 2) // 2
     i2 = (n - 1) // 2
+    notes1 = ()
+    if i1 == 0:
+        notes1 = ("index 0 is vacuous: the claimed bound equals the "
+                  "manifold dimension",)
     primes = [p for p in _odd_prime_divisors(n) if gap % p]
     series = tangent_pontrjagin(n, ell, truncation=n) if primes else None
+    hyps1 = (("p divides n", True), ("p does not divide l2 - l1", True))
     instances = []
     for p in primes:
         order = nilpotency_order(StiefelParams(n, 2, ell), p)
-        w1 = series.coeff(2 * i1) % p
-        adm1 = 2 * i1 <= order - 1
-        notes1 = ()
-        if i1 == 0:
-            notes1 = ("index 0 is vacuous: the claimed bound equals the "
-                      "manifold dimension",)
-        instances.append(ClaimInstance(
-            prime=p,
-            part=1,
-            hypotheses=(("p divides n", True),
-                        ("p does not divide l2 - l1", True)),
-            index=i1,
-            admissible=adm1,
-            coefficient=w1,
-            claimed=(4 * n - 5) - 2 * i1,
-            verdict=AGREE if (w1 and adm1) else DISCREPANT,
-            notes=notes1,
-        ))
-
-        pow_gap = (l1 ** n - l2 ** n) % p == 0
-        hyps2 = (("p divides n", True),
-                 ("p does not divide l2 - l1", True),
-                 ("n odd", n % 2 == 1),
-                 ("p divides l1^n - l2^n", pow_gap))
-        if n % 2 == 1 and pow_gap:
-            w2 = series.coeff(2 * i2) % p
-            adm2 = 2 * i2 <= order - 1
-            instances.append(ClaimInstance(
-                prime=p,
-                part=2,
-                hypotheses=hyps2,
-                index=i2,
-                admissible=adm2,
-                coefficient=w2,
-                claimed=3 * n - 4,
-                verdict=AGREE if (w2 and adm2) else DISCREPANT,
-            ))
-        else:
-            instances.append(ClaimInstance(
-                prime=p,
-                part=2,
-                hypotheses=hyps2,
-                index=None,
-                admissible=None,
-                coefficient=None,
-                claimed=None,
-                verdict=NOT_APPLICABLE,
-            ))
+        pow_gap = pow(l1, n, p) == pow(l2, n, p)
+        hyps2 = hyps1 + (("n odd", n % 2 == 1),
+                         ("p divides l1^n - l2^n", pow_gap))
+        instances += [
+            _claim(p, 1, hyps1, series, order, i1, (4 * n - 5) - 2 * i1,
+                   notes1),
+            _claim(p, 2, hyps2, series, order,
+                   i2 if n % 2 == 1 and pow_gap else None, 3 * n - 4),
+        ]
     return ClaimCheck("span", n, ell, tuple(instances))
 
 
@@ -376,28 +358,17 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     l1, l2 = ell.weights
     # n = 2 has no qualifying prime, so j >= 0 below
     j = (n - 3) // 2
+    notes = ()
+    if j == 0:
+        notes = ("index 0 is vacuous: the constant coefficient is 1",)
     primes = _odd_prime_divisors(math.gcd(n - 1, l2 - l1))
     series = normal_pontrjagin(n, ell, truncation=n) if primes else None
-    instances = []
-    for p in primes:
-        order = nilpotency_order(StiefelParams(n, 2, ell), p)
-        w = series.coeff(2 * j) % p
-        adm = 2 * j <= order - 1
-        notes = ()
-        if j == 0:
-            notes = ("index 0 is vacuous: the constant coefficient is 1",)
-        instances.append(ClaimInstance(
-            prime=p,
-            part=1,
-            hypotheses=(("p divides n - 1", True),
-                        ("p divides l2 - l1", True)),
-            index=j,
-            admissible=adm,
-            coefficient=w,
-            claimed=(4 * n - 5) + 2 * j,
-            verdict=AGREE if (w and adm) else DISCREPANT,
-            notes=notes,
-        ))
+    hyps = (("p divides n - 1", True), ("p divides l2 - l1", True))
+    instances = [
+        _claim(p, 1, hyps, series,
+               nilpotency_order(StiefelParams(n, 2, ell), p), j,
+               (4 * n - 5) + 2 * j, notes)
+        for p in primes]
     return ClaimCheck("immersion", n, ell, tuple(instances))
 
 

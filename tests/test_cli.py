@@ -227,6 +227,15 @@ class TestInputErrors:
         assert captured.out == ""
         assert "n >= 2" in captured.err
 
+    @pytest.mark.parametrize("kind", ["span", "immersion"])
+    def test_prime_with_prime_bound_exits_1(self, capsys, kind):
+        # a single prime and a sweep bound are two different requests
+        assert main([kind, "--n", "7", "--weights", "1,2", "--prime", "3",
+                     "--prime-bound", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--prime-bound" in captured.err
+
     def test_large_prime_is_decided(self, capsys):
         rc = main(["span", "--n", "5", "--weights", "1,2",
                    "--prime", "1000000000000000003"])

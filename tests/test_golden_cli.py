@@ -46,6 +46,11 @@ def _grid() -> list[list[str]]:
     for n in (2, 3, 5, 8, 9, 15, 21):
         for ws in PAIRS:
             cases.append(["check-claims", "--n", str(n), "--weights", ws])
+    # weights with l2 - l1 sharing odd primes with n - 1, so that the
+    # immersion claim has instances, the index-0 note among them
+    for n in (4, 7, 10, 13, 16, 25, 31, 45):
+        for ws in ("1,4", "2,-1", "1,10", "1,6", "-2,5"):
+            cases.append(["check-claims", "--n", str(n), "--weights", ws])
     for n in (2, 4, 8):
         for ws in ("1,2", "1,8", "-2,3"):
             for extra in ([], ["--modulus", "7"], ["--modulus", "3",
@@ -96,8 +101,10 @@ CASES = _grid()
 
 def digest(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    # argparse wraps its usage text to the terminal width
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+    # argparse wraps its usage text to the terminal width, and where it
+    # breaks lines differs between Python versions; at this width it
+    # never wraps, so the digests hold on every supported version
+    with mock.patch.dict(os.environ, {"COLUMNS": "100000"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import pstiefel.geometry as geometry
 from pstiefel.cohomology import StiefelParams, nilpotency_order
-from pstiefel.geometry import (best_immersion_bound, best_span_bound,
+from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
+                               best_immersion_bound, best_span_bound,
                                check_immersion_theorem, check_span_theorem,
                                immersion_certificate, normal_pontrjagin,
                                span_certificate, tangent_pontrjagin)
@@ -85,7 +86,11 @@ class TestAgainstDenseOracle:
             for ws in PAIRS:
                 ell = WeightTuple(ws)
                 for inst in check(n, ell).instances:
-                    if inst.index is None:
+                    computed = (inst.index, inst.admissible,
+                                inst.coefficient, inst.claimed)
+                    assert (inst.verdict == NOT_APPLICABLE) == all(
+                        v is None for v in computed)
+                    if inst.verdict == NOT_APPLICABLE:
                         continue
                     order = nilpotency_order(StiefelParams(n, 2, ell),
                                              inst.prime)
@@ -93,6 +98,10 @@ class TestAgainstDenseOracle:
                         n, ell, modulus=inst.prime,
                         truncation=max(order, 2 * inst.index + 1))
                     assert inst.coefficient == series.coeff(2 * inst.index)
+                    assert inst.admissible == (2 * inst.index <= order - 1)
+                    assert inst.verdict == (
+                        AGREE if inst.coefficient and inst.admissible
+                        else DISCREPANT)
                     checked += 1
         assert checked > 100
 
