@@ -23,7 +23,7 @@ from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, ClaimCheck,
 from .ring import gcd_all, is_prime, lucas_binom, p_adic_valuation
 from .series import TruncatedSeries
 from .weights import (WeightTuple, complement_chern, homogeneous_sum,
-                      homogeneous_sum_pair, total_chern)
+                      homogeneous_sum_pair, homogeneous_sums, total_chern)
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "gcd_all",
     "homogeneous_sum",
     "homogeneous_sum_pair",
+    "homogeneous_sums",
     "immersion_certificate",
     "is_prime",
     "lens_rank_bound",

@@ -296,8 +296,8 @@ def _cmd_lens(args):
         raise ValueError(
             f"lens spaces take exactly two weights, got {list(ell.weights)}")
     params = LensParams(args.d, args.m, *ell.weights)
-    rep = lens_rank_bound(params)
     crit = lens_sq2_criterion(params)
+    rep = lens_rank_bound(params, crit)
     diagnostics = list(rep.notes)
     if crit.diagnostic and crit.diagnostic not in diagnostics:
         diagnostics.append(crit.diagnostic)

@@ -19,6 +19,7 @@ as square-zero polynomial relations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .ring import is_prime
@@ -168,16 +169,31 @@ def presentation_mod2(n: int, ell: WeightTuple) -> CohomologyPresentation:
 def poincare_polynomial(pres: CohomologyPresentation) -> list[int]:
     """Coefficient list of the Poincare polynomial (index = degree).
 
-    (1 + t^2 + ... + t^{2(order-1)}) * prod_g (1 + t^{deg g}).
+    (1 + t^2 + ... + t^{2(order-1)}) * prod_g (1 + t^{deg g}), by
+    Kronecker substitution: coefficient i sits in the i-th fixed-width
+    byte field of one int, so each factor (1 + t^d) is one shift and one
+    add. No coefficient exceeds the total rank order * 2^len(degrees), so
+    fields of that byte length (rounded up to 1, 2, 4 or 8 when it fits
+    in 8, so that a native array cast unpacks them) never carry.
     """
-    top = 2 * (pres.nilpotency_order - 1) + sum(pres.exterior_degrees)
-    out = [0] * (top + 1)
-    for i in range(pres.nilpotency_order):
-        out[2 * i] = 1
-    for d in pres.exterior_degrees:
-        for i in range(top - d, -1, -1):
-            if out[i]:
-                out[i + d] += out[i]
+    order, degrees = pres.nilpotency_order, pres.exterior_degrees
+    top = 2 * (order - 1) + sum(degrees)
+    width = max(1, ((order << len(degrees)).bit_length() + 7) // 8)
+    if width <= 8:
+        code = (width - 1).bit_length()
+        width = 1 << code
+    bits = 8 * width
+    packed = int.from_bytes((b"\x01" + bytes(2 * width - 1)) * order, "little")
+    for d in degrees:
+        packed += packed << (d * bits)
+    raw = packed.to_bytes(max(top + 1, 0) * width, sys.byteorder)
+    if width <= 8:
+        out = memoryview(raw).cast("BHIQ"[code]).tolist()
+    else:
+        out = [int.from_bytes(raw[i:i + width], sys.byteorder)
+               for i in range(0, len(raw), width)]
+    if sys.byteorder == "big":
+        out.reverse()  # to_bytes put the top coefficient first
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
 from .ring import is_prime, p_adic_valuation, primes_upto
 from .series import TruncatedSeries
-from .weights import WeightTuple, homogeneous_sum, homogeneous_sum_pair
+from .weights import WeightTuple, homogeneous_sum_pair, homogeneous_sums
 
 CERTIFICATE_BASIS = "direct-series"
 
@@ -315,7 +315,9 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     vanishes (or sits above the nilpotency order), so the closed-form
     argument's witness is absent; it is reported as data, not an error.
     Every qualifying prime reads one integer tangent series at
-    truncation n, which holds both indices.
+    truncation n, which holds both indices. Every instance is admissible:
+    2*i1 <= n - 2 sits below the nilpotency order (n - 1 or n), and part
+    2's hypotheses make p divide h_{n-1}, so the order is n > 2*i2.
     """
     _require_two_frames(ell, n)
     l1, l2 = ell.weights
@@ -352,7 +354,8 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     4n - 5 + 2*floor((n-3)/2) through the normal coefficient at index
     floor((n-3)/2); the direct vanishing rule certifies one dimension
     less, recorded alongside. Every qualifying prime reads one integer
-    normal series at truncation n.
+    normal series at truncation n. Every instance is admissible:
+    2*j <= n - 3 sits below the nilpotency order, n - 1 or n.
     """
     _require_two_frames(ell, n)
     l1, l2 = ell.weights
@@ -402,7 +405,7 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    hs = [homogeneous_sum(ell, i) for i in range(n + 1)]
+    hs = homogeneous_sums(ell, n)
     surviving = [i for i in range(1, n + 1) if hs[i] != 0]
     lower = max(surviving, default=0)
     achievable = n - 1 if hs[n] == 0 else n
@@ -478,12 +481,16 @@ def lens_sq2_criterion(params: LensParams) -> CriterionResult:
     return CriterionResult(satisfied, hyps, value, diagnostic)
 
 
-def lens_rank_bound(params: LensParams) -> RankBoundReport:
+def lens_rank_bound(params: LensParams,
+                    criterion: CriterionResult | None = None
+                    ) -> RankBoundReport:
     """Complement rank bound over the lens space quotient.
 
     Rank d is always achievable. It is forced when h_d(l1, l2) is
     nonzero mod m, or (in principle) when the secondary mod-2 criterion
-    holds; otherwise only d - 1 is forced.
+    holds; otherwise only d - 1 is forced. A caller that reports the
+    criterion as well passes lens_sq2_criterion(params) as criterion, so
+    it is computed once; without it, it is computed when needed.
     """
     d, m = params.d, params.m
     value = homogeneous_sum_pair(params.l1, params.l2, d)
@@ -492,7 +499,7 @@ def lens_rank_bound(params: LensParams) -> RankBoundReport:
         return RankBoundReport(
             space, d, d, "homogeneous-sum-mod-m",
             reason_index=d, reason_value=value % m)
-    crit = lens_sq2_criterion(params)
+    crit = lens_sq2_criterion(params) if criterion is None else criterion
     if crit.satisfied:
         return RankBoundReport(
             space, d, d, "steenrod-square", reason_index=d, reason_value=value)

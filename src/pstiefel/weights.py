@@ -52,8 +52,8 @@ class WeightTuple:
         return self.weights[i]
 
 
-def homogeneous_sum(ell: WeightTuple, r: int) -> int:
-    """Complete homogeneous sum h_r of the weights, exact over Z.
+def homogeneous_sums(ell: WeightTuple, r: int) -> list[int]:
+    """The table [h_0, ..., h_r] of complete homogeneous sums, exact over Z.
 
     Adding one weight l at a time: h_r(..., l) = h_r(...) + l*h_{r-1}(..., l),
     so an in-place ascending sweep over r does the whole table.
@@ -64,7 +64,13 @@ def homogeneous_sum(ell: WeightTuple, r: int) -> int:
     for w in ell.weights:
         for i in range(1, r + 1):
             hs[i] += w * hs[i - 1]
-    return hs[r]
+    return hs
+
+
+def homogeneous_sum(ell: WeightTuple, r: int) -> int:
+    """Complete homogeneous sum h_r of the weights: the last entry of
+    homogeneous_sums(ell, r)."""
+    return homogeneous_sums(ell, r)[r]
 
 
 def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:

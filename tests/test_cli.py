@@ -295,6 +295,26 @@ def test_cohomology_computes_the_poincare_polynomial_once(capsys,
     assert len(calls) == 1
 
 
+# h_3(1, 2) = 15: 0 mod 5, where the rank bound reads the criterion too,
+# and 1 mod 7, where it does not
+@pytest.mark.parametrize("m", ["5", "7"])
+def test_lens_computes_the_criterion_once(capsys, monkeypatch, m):
+    import pstiefel.cli as cli
+    import pstiefel.geometry as geometry
+    calls = []
+    original = geometry.lens_sq2_criterion
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    for module in (cli, geometry):
+        monkeypatch.setattr(module, "lens_sq2_criterion", counted)
+    assert main(["lens", "--d", "3", "--m", m, "--weights", "1,2",
+                 "--json"]) == 0
+    assert len(calls) == 1
+
+
 class TestDeterminism:
     def test_json_output_is_bit_identical(self, capsys):
         argv = ["check-claims", "--n", "21", "--weights", "2,1", "--json"]

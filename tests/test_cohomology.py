@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pstiefel.cohomology as cohomology
 from pstiefel.cohomology import (CohomologyPresentation, InvariantViolation,
@@ -12,6 +14,19 @@ from pstiefel.weights import WeightTuple
 
 def params(n, k, ws):
     return StiefelParams(n, k, WeightTuple(ws))
+
+
+def poincare_schoolbook(pres):
+    """Oracle for poincare_polynomial: one list pass per exterior factor."""
+    top = 2 * (pres.nilpotency_order - 1) + sum(pres.exterior_degrees)
+    out = [0] * (top + 1)
+    for i in range(pres.nilpotency_order):
+        out[2 * i] = 1
+    for d in pres.exterior_degrees:
+        for i in range(top - d, -1, -1):
+            if out[i]:
+                out[i + d] += out[i]
+    return out
 
 
 class TestStiefelParams:
@@ -147,6 +162,40 @@ class TestPoincarePolynomial:
     def test_rank_four_low_degrees(self):
         pres = CohomologyPresentation(5, 2, (1,))
         assert poincare_polynomial(pres) == [1, 1, 1, 1]
+
+
+class TestPackedPoincareKernel:
+    """The packed kernel against the schoolbook oracle.
+
+    A factor of degree 0 doubles every coefficient, so (order 1, b zero
+    degrees) has the single coefficient 2^b, equal to the total rank:
+    the field width is exactly tight there. Totals just below and at
+    2^8, 2^16, 2^32 and 2^64 hit every field width, 1, 2, 4 and 8 bytes
+    and the byte-slice path above 8.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(order=st.integers(0, 40),
+           degrees=st.lists(st.integers(0, 15), max_size=12))
+    def test_matches_schoolbook(self, order, degrees):
+        pres = CohomologyPresentation(3, order, tuple(degrees))
+        assert poincare_polynomial(pres) == poincare_schoolbook(pres)
+
+    def test_order_one_without_generators(self):
+        assert poincare_polynomial(CohomologyPresentation(3, 1, ())) == [1]
+
+    @pytest.mark.parametrize("order,degrees", [
+        case for b in (8, 16, 32, 64) for case in (
+            (3, (1,) * (b - 2)),            # total 3 * 2^(b-2) < 2^b
+            (255, (0,) * (b - 8)),          # total 2^b - 2^(b-8)
+            (1, (0,) * b),                  # one coefficient, 2^b
+            (4, (0,) * (b - 4) + (1, 3)))   # total 2^b
+    ] + [(2 ** 16 - 1, ())])
+    def test_field_width_boundaries(self, order, degrees):
+        pres = CohomologyPresentation(3, order, degrees)
+        got = poincare_polynomial(pres)
+        assert got == poincare_schoolbook(pres)
+        assert sum(got) == order * 2 ** len(degrees)
 
 
 class TestInvariantChecks:

@@ -10,6 +10,7 @@ from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                immersion_certificate, lens_rank_bound,
                                lens_sq2_criterion, normal_pontrjagin,
                                span_certificate, tangent_pontrjagin)
+from pstiefel.series import TruncatedSeries
 from pstiefel.weights import WeightTuple
 
 
@@ -201,6 +202,23 @@ class TestSpanClaimChecker:
         assert check.verdicts == (AGREE, NOT_APPLICABLE)
 
 
+class TestClaimVerdictRule:
+    # no instance of either claim checker is ever inadmissible, so the
+    # rule's admissibility half is tested on its own
+    SERIES = TruncatedSeries([1, 0, 2, 0, 4], 5)
+
+    def test_inadmissible_index_is_discrepant(self):
+        inst = geometry._claim(3, 1, (), self.SERIES, 2, 1, 9)
+        assert (inst.index, inst.coefficient) == (1, 2)
+        assert inst.admissible is False
+        assert inst.verdict == DISCREPANT
+
+    def test_admissible_index_agrees(self):
+        inst = geometry._claim(3, 1, (), self.SERIES, 3, 1, 9)
+        assert inst.admissible is True
+        assert inst.verdict == AGREE
+
+
 class TestImmersionClaimChecker:
     def test_agree_instance(self):
         check = check_immersion_theorem(8, W(1, 8))
@@ -254,6 +272,19 @@ class TestComplementRank:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             cp_complement_min_rank(0, W(1, 2))
+
+    def test_builds_one_table(self, monkeypatch):
+        calls = []
+        original = geometry.homogeneous_sums
+
+        def counted(ell, r):
+            calls.append(r)
+            return original(ell, r)
+
+        monkeypatch.setattr(geometry, "homogeneous_sums", counted)
+        rep = cp_complement_min_rank(40, W(1, -2, 3))
+        assert calls == [40]
+        assert rep.reason_index == 40
 
 
 class TestLensBounds:

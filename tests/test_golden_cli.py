@@ -68,6 +68,13 @@ def _grid() -> list[list[str]]:
             for p in ("2", "3"):
                 cases.append(["cohomology", "--n", str(n), "--k", str(k),
                               "--weights", ws, "--prime", p])
+    # total ranks of 11, 24, 45 and 76 bits, so the Poincare coefficients
+    # need 2, 4, 8 and more than 8 bytes each
+    for n, k in ((16, 8), (40, 20), (80, 40), (140, 70)):
+        for p in ("3", "7"):
+            cases.append(["cohomology", "--n", str(n), "--k", str(k),
+                          "--weights", ",".join(["1"] * (k - 1) + ["2"]),
+                          "--prime", p])
     cases += [["cohomology", "--n", "4", "--k", "5", "--weights", "1,1,1,1,1",
                "--prime", "3"],
               ["cohomology", "--n", "4", "--k", "2", "--weights", "1,1",
@@ -85,6 +92,8 @@ def _grid() -> list[list[str]]:
         for ws in ("1,-1", "1,2", "1,1,2", "3"):
             cases.append(["complement", "--n", str(n), "--weights", ws])
     cases.append(["complement", "--n", "0", "--weights", "1,2"])
+    cases += [["complement", "--n", n, "--weights=1,-2,3"]
+              for n in ("400", "1000")]
     for ws in ("1,-1", "1,2,3"):
         cases += [["chern", "--weights", ws, "--n", "5"],
                   ["chern", "--weights", ws, "--truncation", "4"],

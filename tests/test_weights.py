@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from pstiefel.weights import (WeightTuple, complement_chern, homogeneous_sum,
                               homogeneous_sum_bruteforce, homogeneous_sum_pair,
-                              total_chern)
+                              homogeneous_sums, total_chern)
 
 
 class TestWeightTuple:
@@ -50,6 +51,28 @@ class TestHomogeneousSum:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="negative degree"):
             homogeneous_sum(WeightTuple((1,)), -1)
+
+
+class TestHomogeneousSums:
+    # every primitive tuple of 1 to 4 weights in [-2, 2]
+    GRID = [WeightTuple(ws) for k in range(1, 5)
+            for ws in itertools.product(range(-2, 3), repeat=k)
+            if math.gcd(*ws) == 1]
+
+    def test_matches_bruteforce_grid(self):
+        for ell in self.GRID:
+            assert homogeneous_sums(ell, 8) == [
+                homogeneous_sum_bruteforce(ell, i) for i in range(9)]
+
+    def test_matches_per_degree_values(self):
+        for ell in self.GRID[::7]:
+            for r in (0, 1, 5, 30):
+                assert homogeneous_sums(ell, r) == [
+                    homogeneous_sum(ell, i) for i in range(r + 1)]
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="negative degree"):
+            homogeneous_sums(WeightTuple((1, 2)), -1)
 
 
 class TestBruteforceOracle:
