@@ -16,6 +16,7 @@ verification suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -424,26 +425,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift the interpreter's limit on int-to-decimal conversion (4,300
+    digits by default) for the duration, so answers of any length print.
+    Interpreters without the limit (before 3.10.7) have no setter."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # parsed under the limit, so argparse still rejects huge integer flags
     args = parser.parse_args(
         _bind_negative_weights(sys.argv[1:] if argv is None else argv))
-    try:
-        lines, fields = args.func(args)
-    except ValueError as exc:
-        print(f"pstiefel: error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantViolation as exc:
-        print(f"pstiefel: internal invariant violation: {exc}",
-              file=sys.stderr)
-        return 2
-    report = _stringify({"command": args.command, "certificates": [],
-                         "diagnostics": [], "claim_checks": [], **fields})
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    with _any_int_digits():
+        try:
+            lines, fields = args.func(args)
+        except ValueError as exc:
+            print(f"pstiefel: error: {exc}", file=sys.stderr)
+            return 1
+        except InvariantViolation as exc:
+            print(f"pstiefel: internal invariant violation: {exc}",
+                  file=sys.stderr)
+            return 2
+        report = _stringify({"command": args.command, "certificates": [],
+                             "diagnostics": [], "claim_checks": [], **fields})
+        if args.json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     # only verify reports a verdict; a failed suite exits 2
     if fields["result"].get("passed") is False:
         failure = next(f for suite in fields["result"]["suites"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .ring import is_prime
+from .ring import require_prime
 from .weights import WeightTuple, homogeneous_sum
 
 
@@ -100,18 +100,13 @@ class PresentationCheck:
                 and self.palindromic)
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def transgression_coefficient(params: StiefelParams, j: int, p: int) -> int:
     """Coefficient of x^j hit by the degree-(2j-1) sphere generator.
 
     Equals -(-1)^j h_j(weights) mod p, in [0, p); defined for
     n-k < j <= n.
     """
-    _require_prime(p)
+    require_prime(p)
     if not params.n - params.k < j <= params.n:
         raise ValueError(
             f"transgression index {j} outside "
@@ -127,7 +122,7 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
     closed manifold, so some transgression in the window must survive;
     running past r = n means an internal error, not bad input.
     """
-    _require_prime(p)
+    require_prime(p)
     for r in range(params.n - params.k + 1, params.n + 1):
         if homogeneous_sum(params.ell, r) % p != 0:
             return r
@@ -138,7 +133,7 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
 
 def presentation_odd(params: StiefelParams, p: int) -> CohomologyPresentation:
     """Mod-p presentation for odd p: truncated polynomial tensor exterior."""
-    _require_prime(p)
+    require_prime(p)
     if p == 2:
         raise ValueError(
             "p = 2 is handled by presentation_mod2 (two-frame quotients only)")

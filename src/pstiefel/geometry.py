@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
-from .ring import is_prime, p_adic_valuation, primes_upto
+from .ring import p_adic_valuation, primes_upto, require_prime
 from .series import TruncatedSeries
 from .weights import WeightTuple, homogeneous_sum_pair, homogeneous_sums
 
@@ -55,20 +55,17 @@ def _require_two_frames(ell: WeightTuple, n: int | None = None) -> None:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
 
 
-def _one_minus_square(c: int, truncation: int, modulus: int) -> TruncatedSeries:
-    return TruncatedSeries([1, 0, -c * c], truncation, modulus)
-
-
 def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
                 truncation: int | None, sign: int) -> TruncatedSeries:
     """The tangent series for sign 1, its inverse (the normal one) for -1."""
     _require_two_frames(ell, n)
     T = n if truncation is None else truncation
     l1, l2 = ell.weights
-    a = _one_minus_square(l1, T, modulus).int_pow(sign * n)
-    b = _one_minus_square(l2, T, modulus).int_pow(sign * n)
-    c = _one_minus_square(l2 - l1, T, modulus).int_pow(-sign)
-    return a.mul(b).mul(c)
+    # (1 - l1^2 x^2)(1 - l2^2 x^2), so one power serves both frames
+    frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
+                             T, modulus)
+    diff = TruncatedSeries([1, 0, -(l2 - l1) ** 2], T, modulus)
+    return frames.int_pow(sign * n).mul(diff.int_pow(-sign))
 
 
 def tangent_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
@@ -84,8 +81,7 @@ def normal_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
 
 
 def _require_odd_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     if p == 2:
         raise ValueError(
             "certificates use odd primes only; the Pontrjagin series "

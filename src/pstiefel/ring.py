@@ -40,8 +40,7 @@ def lucas_binom(n: int, r: int, p: int) -> int:
     """
     if n < 0 or r < 0:
         raise ValueError("binomial arguments must be nonnegative")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     result = 1
     while n or r:
         ni, ri = n % p, r % p
@@ -51,6 +50,12 @@ def lucas_binom(n: int, r: int, p: int) -> int:
         n //= p
         r //= p
     return result
+
+
+def require_prime(p: int) -> None:
+    """ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def primes_upto(bound: int) -> list[int]:

@@ -2,7 +2,7 @@
 
 Five suites, each an exhaustive grid or a fixed-seed randomized loop:
 
-  1. homogeneous sums against brute-force composition enumeration;
+  1. homogeneous sums against brute-force multiset enumeration;
   2. series inversion (a * a^{-1} = 1) on pseudo-random unit series;
   3. nilpotency orders for all-ones weights against the base-p digit
      rule for binomials (Lucas);
@@ -15,10 +15,12 @@ them for a fast smoke run.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from . import cohomology, weights
+from . import cohomology, geometry, weights
 from .ring import lucas_binom
 from .series import TruncatedSeries
 from .weights import WeightTuple
@@ -37,44 +39,44 @@ class SuiteResult:
         return not self.failures
 
 
+def _suite(name: str):
+    """Decorator: the generator function it wraps yields None for each
+    passing check and a message for each failing one; the suite made from
+    it counts the checks and keeps the first three messages."""
+    def decorate(checks):
+        def suite(quick: bool = False) -> SuiteResult:
+            outcomes = list(checks(quick))
+            failures = [m for m in outcomes if m is not None][:3]
+            return SuiteResult(name, len(outcomes), failures)
+        suite.__name__ = suite.__qualname__ = checks.__name__
+        return suite
+    return decorate
+
+
 def _primitive_tuples(k: int, bound: int):
     """All primitive weight tuples of length k with entries in [-bound, bound]."""
-    def rec(prefix):
-        if len(prefix) == k:
-            yield prefix
-            return
-        for w in range(-bound, bound + 1):
-            yield from rec(prefix + (w,))
-    for raw in rec(()):
-        try:
-            yield WeightTuple(raw)
-        except ValueError:
-            continue
+    return (WeightTuple(raw)
+            for raw in itertools.product(range(-bound, bound + 1), repeat=k)
+            if math.gcd(*raw) == 1)
 
 
-def suite_homogeneous_sums(quick: bool = False) -> SuiteResult:
+@_suite("homogeneous-sums-vs-bruteforce")
+def suite_homogeneous_sums(quick):
     max_k, bound, max_r = (3, 2, 6) if quick else (4, 3, 8)
-    checked = 0
-    failures = []
     for k in range(1, max_k + 1):
         for ell in _primitive_tuples(k, bound):
             for r in range(max_r + 1):
                 got = weights.homogeneous_sum(ell, r)
                 want = weights.homogeneous_sum_bruteforce(ell, r)
-                checked += 1
-                if got != want and len(failures) < 3:
-                    failures.append(
-                        f"h_{r}{ell.weights} = {got}, oracle says {want}")
-    return SuiteResult("homogeneous-sums-vs-bruteforce", checked, failures)
+                yield None if got == want else (
+                    f"h_{r}{ell.weights} = {got}, oracle says {want}")
 
 
-def suite_series_inversion(quick: bool = False) -> SuiteResult:
-    count = 200 if quick else 1000
+@_suite("series-inversion")
+def suite_series_inversion(quick):
     rng = random.Random(SEED)
     moduli = [0, 3, 5, 7]
-    checked = 0
-    failures = []
-    for trial in range(count):
+    for trial in range(200 if quick else 1000):
         m = moduli[trial % len(moduli)]
         T = rng.randint(1, 32)
         if m == 0:
@@ -84,16 +86,13 @@ def suite_series_inversion(quick: bool = False) -> SuiteResult:
             coeffs = [rng.randint(1, m - 1)]
             coeffs += [rng.randint(0, m - 1) for _ in range(T - 1)]
         a = TruncatedSeries(coeffs, T, m)
-        checked += 1
-        if not a.mul(a.inv()).is_one() and len(failures) < 3:
-            failures.append(f"a * inv(a) != 1 for {a!r}")
-    return SuiteResult("series-inversion", checked, failures)
+        yield None if a.mul(a.inv()).is_one() else (
+            f"a * inv(a) != 1 for {a!r}")
 
 
-def suite_nilpotency_vs_lucas(quick: bool = False) -> SuiteResult:
+@_suite("nilpotency-vs-lucas")
+def suite_nilpotency_vs_lucas(quick):
     max_n = 12 if quick else 30
-    checked = 0
-    failures = []
     for n in range(2, max_n + 1):
         for k in range(2, min(5, n) + 1):
             ell = WeightTuple((1,) * k)
@@ -103,12 +102,9 @@ def suite_nilpotency_vs_lucas(quick: bool = False) -> SuiteResult:
                 want = next(
                     r for r in range(n - k + 1, n + 1)
                     if lucas_binom(n, r, p))
-                checked += 1
-                if got != want and len(failures) < 3:
-                    failures.append(
-                        f"order(n={n}, k={k}, p={p}) = {got}, "
-                        f"digit rule says {want}")
-    return SuiteResult("nilpotency-vs-lucas", checked, failures)
+                yield None if got == want else (
+                    f"order(n={n}, k={k}, p={p}) = {got}, "
+                    f"digit rule says {want}")
 
 
 PRESENTATION_TUPLES = {
@@ -121,57 +117,41 @@ PRESENTATION_TUPLES = {
 MOD2_TUPLES = [(1, 1), (1, 2), (1, -1), (2, 3)]
 
 
-def suite_presentation_invariants(quick: bool = False) -> SuiteResult:
+@_suite("presentation-invariants")
+def suite_presentation_invariants(quick):
     max_n = 10 if quick else 20
-    checked = 0
-    failures = []
-
-    def record(pres, params, label):
-        nonlocal checked
-        checked += 1
-        report = cohomology.check_presentation_invariants(pres, params)
-        if not report.passed and len(failures) < 3:
-            failures.append(f"{label}: {report}")
-
     for n in range(2, max_n + 1):
         for k in range(2, min(5, n) + 1):
-            tuples = [(1,) * k] + PRESENTATION_TUPLES[k]
-            for raw in tuples:
-                ell = WeightTuple(raw)
-                params = cohomology.StiefelParams(n, k, ell)
+            for raw in [(1,) * k] + PRESENTATION_TUPLES[k]:
+                params = cohomology.StiefelParams(n, k, WeightTuple(raw))
                 for p in (3, 5, 7, 11, 13):
                     pres = cohomology.presentation_odd(params, p)
-                    record(pres, params, f"odd p={p} n={n} k={k} ell={raw}")
+                    report = cohomology.check_presentation_invariants(
+                        pres, params)
+                    yield None if report.passed else (
+                        f"odd p={p} n={n} k={k} ell={raw}: {report}")
     for n in range(2, max_n + 1):
         for raw in MOD2_TUPLES:
             ell = WeightTuple(raw)
             params = cohomology.StiefelParams(n, 2, ell)
             pres = cohomology.presentation_mod2(n, ell)
-            record(pres, params, f"mod2 n={n} ell={raw}")
+            report = cohomology.check_presentation_invariants(pres, params)
+            yield None if report.passed else f"mod2 n={n} ell={raw}: {report}"
             order = cohomology.nilpotency_order(params, 2)
-            checked += 1
-            if pres.nilpotency_order != order and len(failures) < 3:
-                failures.append(
-                    f"mod2 n={n} ell={raw}: exponent {pres.nilpotency_order} "
-                    f"but nilpotency order {order}")
-    return SuiteResult("presentation-invariants", checked, failures)
+            yield None if pres.nilpotency_order == order else (
+                f"mod2 n={n} ell={raw}: exponent {pres.nilpotency_order} "
+                f"but nilpotency order {order}")
 
 
-def suite_pontrjagin_product(quick: bool = False) -> SuiteResult:
-    from .geometry import normal_pontrjagin, tangent_pontrjagin
+@_suite("pontrjagin-product")
+def suite_pontrjagin_product(quick):
     max_n, bound = (8, 3) if quick else (20, 5)
-    checked = 0
-    failures = []
     for n in range(2, max_n + 1):
         for ell in _primitive_tuples(2, bound):
-            T = 2 * n
-            t = tangent_pontrjagin(n, ell, truncation=T)
-            v = normal_pontrjagin(n, ell, truncation=T)
-            checked += 1
-            if not t.mul(v).is_one() and len(failures) < 3:
-                failures.append(
-                    f"tangent*normal != 1 for n={n}, ell={ell.weights}")
-    return SuiteResult("pontrjagin-product", checked, failures)
+            t = geometry.tangent_pontrjagin(n, ell, truncation=2 * n)
+            v = geometry.normal_pontrjagin(n, ell, truncation=2 * n)
+            yield None if t.mul(v).is_one() else (
+                f"tangent*normal != 1 for n={n}, ell={ell.weights}")
 
 
 def run_all(quick: bool = False) -> list[SuiteResult]:

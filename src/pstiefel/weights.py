@@ -8,8 +8,8 @@ downstream is the complete homogeneous sum
     h_r(l_1, ..., l_k) = sum over i_1 + ... + i_k = r, i_j >= 0
                          of l_1^{i_1} * ... * l_k^{i_k},
 
-computed by the one-weight-at-a-time recurrence. A direct enumeration
-over compositions is kept as an independent oracle for small ranges.
+computed by the one-weight-at-a-time recurrence. Direct enumeration over
+multisets of weights is kept as an independent oracle for small ranges.
 The weighted line bundle sums over complex projective space have total
 Chern class prod_j (1 + l_j x), and the complement's Chern series is its
 inverse, whose x^r coefficient is (-1)^r h_r.
@@ -17,7 +17,9 @@ inverse, whose x^r coefficient is (-1)^r h_r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .ring import gcd_all
@@ -74,7 +76,8 @@ def homogeneous_sum(ell: WeightTuple, r: int) -> int:
 
 
 def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
-    """Oracle for homogeneous_sum: explicit sum over all compositions.
+    """Oracle for homogeneous_sum: h_r as the sum, over all multisets of r
+    weights, of their product.
 
     Exponential in its arguments, so guarded to r <= 12 and k <= 6.
     """
@@ -85,22 +88,7 @@ def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
         raise ValueError(
             f"oracle range exceeded (r <= {BRUTEFORCE_MAX_R}, "
             f"k <= {BRUTEFORCE_MAX_K}); got r={r}, k={k}")
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
-    total = 0
-    for comp in compositions(r, k):
-        term = 1
-        for w, e in zip(ell.weights, comp):
-            term *= w ** e
-        total += term
-    return total
+    return sum(map(math.prod, combinations_with_replacement(ell.weights, r)))
 
 
 def homogeneous_sum_pair(l1: int, l2: int, d: int) -> int:

@@ -253,6 +253,68 @@ class TestInputErrors:
         assert capsys.readouterr() == joined
 
 
+def decimal(value):
+    # str() of an answer longer than the interpreter's digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="no limit on int-to-str conversion in force")
+class TestLongAnswers:
+    """Answers past the interpreter's int-to-str digit limit print in full,
+    the limit is in force again when main returns, and integer flags past
+    it are still refused."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_complement(self, capsys, flags):
+        limit = sys.get_int_max_str_digits()
+        assert main(["complement", "--n", "10000", "--weights=1,-2,3",
+                     *flags]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        h = weights.homogeneous_sum(weights.WeightTuple((1, -2, 3)), 10000)
+        want = decimal((-1) ** 10000 * h)
+        assert len(want) == 4772
+        out = capsys.readouterr().out
+        if flags:
+            assert json.loads(out)["result"]["reason"]["value"] == want
+        else:
+            assert want in out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_lens(self, capsys, flags):
+        limit = sys.get_int_max_str_digits()
+        assert main(["lens", "--d", "20000", "--m", "7", "--weights", "1,2",
+                     *flags]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        want = decimal(2 ** 20001 - 1)  # h_20000(1, 2)
+        out = capsys.readouterr().out
+        if flags:
+            assert json.loads(out)["result"]["criterion"]["value"] == want
+        else:
+            assert want in out
+
+    def test_weights_past_the_limit_are_read(self, capsys):
+        w = 7 * 10 ** 5000 + 3  # 5,001 digits
+        text = decimal(w)
+        assert main(["chern", "--weights", f"{text},1", "--truncation", "3",
+                     "--json"]) == 0
+        total = json.loads(capsys.readouterr().out)["result"]["total"]
+        assert total["coefficients"] == ["1", decimal(w + 1), text]
+
+    def test_integer_flags_past_the_limit_are_refused(self, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["complement", "--n", digits, "--weights", "1,2"])
+        assert exc.value.code == 1
+        assert "invalid int value" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_quick_passes(self, capsys):
         rc = main(["verify", "--quick"])

@@ -198,3 +198,46 @@ class TestClaimCheckerInput:
         with pytest.raises(ValueError, match="0 has no"):
             geometry._odd_prime_divisors(0)
         assert geometry._odd_prime_divisors(-90) == [3, 5]
+
+
+def binomial_pontrjagin(kind, n, ell, truncation):
+    """The series from math.comb alone: with y = x^2, a = l1^2, b = l2^2 and
+    c = (l2 - l1)^2, the tangent series is (1-ay)^n (1-by)^n / (1-cy) and
+    the normal one (1-ay)^-n (1-by)^-n (1-cy)."""
+    def power(w, e, size):
+        # (1 - w*y)^e as a coefficient list in y, for any integer e
+        if e >= 0:
+            return [math.comb(e, j) * (-w) ** j for j in range(size)]
+        return [math.comb(-e + j - 1, j) * w ** j for j in range(size)]
+
+    size = (truncation + 1) // 2
+    l1, l2 = ell.weights
+    sign = 1 if kind == "span" else -1
+    f, g = power(l1 * l1, sign * n, size), power(l2 * l2, sign * n, size)
+    out = [sum(f[i] * g[j - i] for i in range(j + 1)) for j in range(size)]
+    c = (l2 - l1) ** 2
+    for j in (range(1, size) if sign == 1 else range(size - 1, 0, -1)):
+        # divide by (1 - c*y) ascending, or multiply by it descending
+        out[j] += sign * c * out[j - 1]
+    coeffs = [0] * truncation
+    coeffs[::2] = out
+    return coeffs
+
+
+class TestAgainstBinomialExpansion:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_and_reduced_series(self, kind):
+        pontrjagin = KINDS[kind][0]
+        for n in range(2, 41):
+            # four pair classes per n, rotating so each meets six sizes
+            for i in range(4):
+                ws = PAIRS[(4 * n + i) % len(PAIRS)]
+                ell = WeightTuple(ws)
+                for T in (n, 2 * n + 1):
+                    want = binomial_pontrjagin(kind, n, ell, T)
+                    assert list(pontrjagin(n, ell, truncation=T).coeffs) \
+                        == want, (n, ws, T)
+                    for p in (3, 7):
+                        got = pontrjagin(n, ell, modulus=p, truncation=T)
+                        assert list(got.coeffs) == [c % p for c in want], (
+                            n, ws, T, p)
