@@ -9,8 +9,8 @@ where every number is a decimal string so arbitrary precision survives
 serialization. Output is deterministic: identical invocations produce
 identical bytes. Exit codes: 0 for any successfully computed answer
 (including DISCREPANT claim checks and absent certificates), 1 for
-invalid input, 2 for an internal invariant violation or a failed
-verification suite.
+invalid input or a stdout closed before the report is written, 2 for an
+internal invariant violation or a failed verification suite.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -30,8 +31,8 @@ from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
                        best_span_bound, check_immersion_theorem,
                        check_span_theorem, cp_complement_min_rank,
                        immersion_certificate, lens_rank_bound,
-                       lens_sq2_criterion, normal_pontrjagin,
-                       span_certificate, tangent_pontrjagin)
+                       normal_pontrjagin, span_certificate,
+                       tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
@@ -126,12 +127,13 @@ def _certificate_payload(cert) -> dict:
     return payload
 
 
-def _rank_report(rep: RankBoundReport) -> tuple[dict, str]:
-    """Result payload and text line of a complement rank bound."""
+def _rank_report(rep: RankBoundReport, params: dict):
+    """Lines and report fields of a complement rank bound: the bound, the
+    secondary criterion when the report carries one, then the notes."""
     reason = rep.reason_kind
     if rep.reason_index is not None:
         reason += f" (index {rep.reason_index}, value {rep.reason_value})"
-    payload = {
+    result = {
         "space": rep.space,
         "lower_bound": rep.lower_bound,
         "achievable": rep.achievable,
@@ -141,9 +143,21 @@ def _rank_report(rep: RankBoundReport) -> tuple[dict, str]:
             "value": rep.reason_value,
         },
     }
-    return payload, (f"{rep.space}: complement rank >= "
-                     f"{rep.lower_bound} forced [{reason}]; "
-                     f"rank {rep.achievable} achievable")
+    lines = [f"{rep.space}: complement rank >= {rep.lower_bound} forced "
+             f"[{reason}]; rank {rep.achievable} achievable"]
+    crit = rep.criterion
+    if crit is not None:
+        result["criterion"] = {
+            "satisfied": crit.satisfied,
+            "hypotheses": dict(crit.hypotheses),
+            "value": crit.value,
+        }
+        lines.append(
+            f"secondary criterion "
+            f"{'satisfied' if crit.satisfied else 'unsatisfied'}: "
+            + ", ".join(f"{name}={ok}" for name, ok in crit.hypotheses))
+    return lines + list(rep.notes), {"params": params, "result": result,
+                                     "diagnostics": list(rep.notes)}
 
 
 # Each handler returns (text lines, report fields); main prints one or
@@ -284,11 +298,8 @@ def _cmd_certificates(args):
 
 def _cmd_complement(args):
     ell = _parse_weights(args.weights)
-    rep = cp_complement_min_rank(args.n, ell)
-    result, line = _rank_report(rep)
-    return [line, *rep.notes], {
-        "params": {"n": args.n, "weights": list(ell.weights)},
-        "result": result, "diagnostics": list(rep.notes)}
+    return _rank_report(cp_complement_min_rank(args.n, ell),
+                        {"n": args.n, "weights": list(ell.weights)})
 
 
 def _cmd_lens(args):
@@ -296,25 +307,9 @@ def _cmd_lens(args):
     if len(ell) != 2:
         raise ValueError(
             f"lens spaces take exactly two weights, got {list(ell.weights)}")
-    params = LensParams(args.d, args.m, *ell.weights)
-    crit = lens_sq2_criterion(params)
-    rep = lens_rank_bound(params, crit)
-    diagnostics = list(rep.notes)
-    if crit.diagnostic and crit.diagnostic not in diagnostics:
-        diagnostics.append(crit.diagnostic)
-    result, line = _rank_report(rep)
-    result["criterion"] = {
-        "satisfied": crit.satisfied,
-        "hypotheses": dict(crit.hypotheses),
-        "value": crit.value,
-    }
-    lines = [line,
-             f"secondary criterion "
-             f"{'satisfied' if crit.satisfied else 'unsatisfied'}: "
-             + ", ".join(f"{name}={ok}" for name, ok in crit.hypotheses)]
-    return lines + diagnostics, {
-        "params": {"d": args.d, "m": args.m, "weights": list(ell.weights)},
-        "result": result, "diagnostics": diagnostics}
+    params = {"d": args.d, "m": args.m, "weights": list(ell.weights)}
+    return _rank_report(lens_rank_bound(LensParams(args.d, args.m, *ell)),
+                        params)
 
 
 def _cmd_check_claims(args):
@@ -458,11 +453,17 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         report = _stringify({"command": args.command, "certificates": [],
                              "diagnostics": [], "claim_checks": [], **fields})
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
+        try:
+            if args.json:
+                print(json.dumps(report, indent=2, sort_keys=True))
+            else:
+                for line in lines:
+                    print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout closed early: fd 1 to devnull so the exit flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     # only verify reports a verdict; a failed suite exits 2
     if fields["result"].get("passed") is False:
         failure = next(f for suite in fields["result"]["suites"]

@@ -378,11 +378,11 @@ class RankBoundReport:
     space: str
     lower_bound: int
     achievable: int
-    reason_kind: str  # "chern-nonzero", "homogeneous-sum-mod-m",
-                      # "steenrod-square" or "none"
+    reason_kind: str  # "chern-nonzero", "homogeneous-sum-mod-m" or "none"
     reason_index: int | None = None
     reason_value: int | None = None
     notes: tuple[str, ...] = ()
+    criterion: CriterionResult | None = None  # lens spaces only
 
     def __post_init__(self) -> None:
         if self.lower_bound > self.achievable:
@@ -450,21 +450,22 @@ def lens_sq2_criterion(params: LensParams) -> CriterionResult:
     """Secondary (Steenrod square) criterion for a full-rank complement.
 
     Requires all of: d even, m even, m divides h_d(l1, l2), and equal
-    2-adic valuations of m and h_d. For coprime weights and even d the
-    sum h_d is odd, so the conjunction can never hold; the diagnostic
-    records that whenever d is even.
+    2-adic valuations of m and h_d. It never holds. For odd d the first
+    hypothesis fails. For even d, h_d = sum of l1^i l2^(d-i) over
+    0 <= i <= d is odd: coprime weights are not both even, so with one
+    even weight exactly one term is odd, and with both odd all d + 1
+    terms are. Then 'm even' and 'm divides h_d' cannot hold together;
+    the diagnostic records that whenever d is even.
     """
     d, m = params.d, params.m
     value = homogeneous_sum_pair(params.l1, params.l2, d)
-    divides = value % m == 0
-    if value != 0 and m % 2 == 0:
-        valuations_match = p_adic_valuation(2, m) == p_adic_valuation(2, value)
-    else:
-        valuations_match = False
+    # h_d = 0 has no finite valuation, so it matches no even m
+    valuations_match = (value != 0 and m % 2 == 0 and
+                        p_adic_valuation(2, m) == p_adic_valuation(2, value))
     hyps = (
         ("d even", d % 2 == 0),
         ("m even", m % 2 == 0),
-        ("m divides h_d", divides),
+        ("m divides h_d", value % m == 0),
         ("2-adic valuations of m and h_d match", valuations_match),
     )
     satisfied = all(v for _, v in hyps)
@@ -477,29 +478,20 @@ def lens_sq2_criterion(params: LensParams) -> CriterionResult:
     return CriterionResult(satisfied, hyps, value, diagnostic)
 
 
-def lens_rank_bound(params: LensParams,
-                    criterion: CriterionResult | None = None
-                    ) -> RankBoundReport:
+def lens_rank_bound(params: LensParams) -> RankBoundReport:
     """Complement rank bound over the lens space quotient.
 
-    Rank d is always achievable. It is forced when h_d(l1, l2) is
-    nonzero mod m, or (in principle) when the secondary mod-2 criterion
-    holds; otherwise only d - 1 is forced. A caller that reports the
-    criterion as well passes lens_sq2_criterion(params) as criterion, so
-    it is computed once; without it, it is computed when needed.
+    Rank d is always achievable, and it is forced when h_d(l1, l2) is
+    nonzero mod m; otherwise only d - 1 is forced, since the secondary
+    criterion that would force d never holds (see lens_sq2_criterion).
+    The report carries that criterion, and its diagnostic as a note.
     """
-    d, m = params.d, params.m
-    value = homogeneous_sum_pair(params.l1, params.l2, d)
-    space = f"L^{d}({m})"
-    if value % m != 0:
-        return RankBoundReport(
-            space, d, d, "homogeneous-sum-mod-m",
-            reason_index=d, reason_value=value % m)
-    crit = lens_sq2_criterion(params) if criterion is None else criterion
-    if crit.satisfied:
-        return RankBoundReport(
-            space, d, d, "steenrod-square", reason_index=d, reason_value=value)
-    notes = ()
-    if crit.diagnostic:
-        notes = (crit.diagnostic,)
-    return RankBoundReport(space, d - 1, d, "none", notes=notes)
+    crit = lens_sq2_criterion(params)
+    d, residue = params.d, crit.value % params.m
+    space = f"L^{d}({params.m})"
+    notes = (crit.diagnostic,) if crit.diagnostic else ()
+    if residue:
+        return RankBoundReport(space, d, d, "homogeneous-sum-mod-m", d,
+                               residue, notes, crit)
+    return RankBoundReport(space, d - 1, d, "none", notes=notes,
+                           criterion=crit)

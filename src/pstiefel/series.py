@@ -13,9 +13,15 @@ by the usual triangular recursion, which is exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+
+# slots by hand: on 3.11, slots=True gives TypeError for non-field setattr
+@dataclass(frozen=True, init=False)
 class TruncatedSeries:
     __slots__ = ("coeffs", "modulus")
+    coeffs: tuple[int, ...]
+    modulus: int
 
     def __init__(self, coeffs, truncation: int, modulus: int = 0):
         if truncation < 1:
@@ -31,9 +37,6 @@ class TruncatedSeries:
             coeffs = [c % modulus for c in coeffs]
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def truncation(self) -> int:
@@ -129,15 +132,6 @@ class TruncatedSeries:
         if m < 2:
             raise ValueError(f"reduction modulus must be >= 2, got {m}")
         return TruncatedSeries(self.coeffs, self.truncation, m)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.coeffs == other.coeffs
-                and self.modulus == other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.modulus))
 
     def __repr__(self) -> str:
         terms = []

@@ -361,7 +361,6 @@ def test_cohomology_computes_the_poincare_polynomial_once(capsys,
 # and 1 mod 7, where it does not
 @pytest.mark.parametrize("m", ["5", "7"])
 def test_lens_computes_the_criterion_once(capsys, monkeypatch, m):
-    import pstiefel.cli as cli
     import pstiefel.geometry as geometry
     calls = []
     original = geometry.lens_sq2_criterion
@@ -370,11 +369,22 @@ def test_lens_computes_the_criterion_once(capsys, monkeypatch, m):
         calls.append(params)
         return original(params)
 
-    for module in (cli, geometry):
-        monkeypatch.setattr(module, "lens_sq2_criterion", counted)
+    monkeypatch.setattr(geometry, "lens_sq2_criterion", counted)
     assert main(["lens", "--d", "3", "--m", m, "--weights", "1,2",
                  "--json"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", ["5", "7"])
+def test_lens_computes_h_d_once(capsys, monkeypatch, m):
+    import pstiefel.geometry as geometry
+    calls = []
+    original = geometry.homogeneous_sum_pair
+    monkeypatch.setattr(geometry, "homogeneous_sum_pair",
+                        lambda *args: calls.append(args) or original(*args))
+    assert main(["lens", "--d", "3", "--m", m, "--weights", "1,2",
+                 "--json"]) == 0
+    assert calls == [(1, 2, 3)]
 
 
 class TestDeterminism:
@@ -409,3 +419,18 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "span <= 19" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 360 KB of JSON, far more than a pipe buffer holds, into a
+    # pipe whose reader is gone before the first byte
+    weights = ",".join(["1"] * 69 + ["2"])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pstiefel", "cohomology", "--n", "140",
+         "--k", "70", f"--weights={weights}", "--prime", "3", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

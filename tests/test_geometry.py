@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pstiefel.geometry as geometry
 from pstiefel.cohomology import InvariantViolation, StiefelParams
@@ -11,7 +15,7 @@ from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                lens_sq2_criterion, normal_pontrjagin,
                                span_certificate, tangent_pontrjagin)
 from pstiefel.series import TruncatedSeries
-from pstiefel.weights import WeightTuple
+from pstiefel.weights import WeightTuple, homogeneous_sum
 
 
 def W(*ws):
@@ -327,3 +331,19 @@ class TestLensBounds:
         crit = lens_sq2_criterion(LensParams(3, 7, 1, 2))
         assert crit.diagnostic is None
         assert ("d even", False) in crit.hypotheses
+
+    # h_d by the recurrence, not the closed form the lens bound uses
+    @settings(max_examples=300, deadline=None)
+    @given(ell=st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+           .filter(lambda ws: math.gcd(*ws) == 1),
+           d=st.integers(1, 150), m=st.integers(2, 64))
+    def test_bound_against_the_recurrence(self, ell, d, m):
+        params = LensParams(d, m, *ell)
+        rep = lens_rank_bound(params)
+        crit = lens_sq2_criterion(params)
+        forced = homogeneous_sum(WeightTuple(ell), d) % m != 0
+        assert rep.lower_bound == (d if forced else d - 1)
+        assert rep.achievable == d
+        assert not rep.criterion.satisfied
+        assert rep.criterion == crit
+        assert rep.notes == ((crit.diagnostic,) if d % 2 == 0 else ())
