@@ -13,17 +13,16 @@ from .cohomology import (CohomologyPresentation, InvariantViolation,
                          presentation_odd, transgression_coefficient)
 from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, ClaimCheck,
                        ClaimInstance, CriterionResult, ImmersionCertificate,
-                       ImmersionSweep, LensParams, RankBoundReport,
-                       SpanCertificate, SpanSweep, best_immersion_bound,
-                       best_span_bound, check_immersion_theorem,
-                       check_span_theorem, cp_complement_min_rank,
-                       immersion_certificate, lens_rank_bound,
-                       lens_sq2_criterion, normal_pontrjagin,
+                       LensParams, RankBoundReport, SpanCertificate,
+                       best_immersion_bound, best_span_bound,
+                       check_immersion_theorem, check_span_theorem,
+                       cp_complement_min_rank, immersion_certificate,
+                       lens_rank_bound, lens_sq2_criterion, normal_pontrjagin,
                        span_certificate, tangent_pontrjagin)
 from .ring import gcd_all, is_prime, lucas_binom, p_adic_valuation
 from .series import TruncatedSeries
 from .weights import (WeightTuple, complement_chern, homogeneous_sum,
-                      homogeneous_sum_pair, homogeneous_sums, total_chern)
+                      homogeneous_sums, total_chern)
 
 __version__ = "0.1.0"
 
@@ -36,13 +35,11 @@ __all__ = [
     "CohomologyPresentation",
     "CriterionResult",
     "ImmersionCertificate",
-    "ImmersionSweep",
     "InvariantViolation",
     "LensParams",
     "PresentationCheck",
     "RankBoundReport",
     "SpanCertificate",
-    "SpanSweep",
     "StiefelParams",
     "TruncatedSeries",
     "WeightTuple",
@@ -55,7 +52,6 @@ __all__ = [
     "cp_complement_min_rank",
     "gcd_all",
     "homogeneous_sum",
-    "homogeneous_sum_pair",
     "homogeneous_sums",
     "immersion_certificate",
     "is_prime",

@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass
 
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
-from .ring import p_adic_valuation, primes_upto, require_prime
+from .ring import p_adic_valuation, primes_upto
 from .series import TruncatedSeries
-from .weights import WeightTuple, homogeneous_sum_pair, homogeneous_sums
+from .weights import WeightTuple, homogeneous_sum, homogeneous_sums
 
 CERTIFICATE_BASIS = "direct-series"
 
@@ -78,14 +78,6 @@ def normal_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
                       truncation: int | None = None) -> TruncatedSeries:
     """Stable normal Pontrjagin series, the inverse of the tangent one."""
     return _pontrjagin(n, ell, modulus, truncation, -1)
-
-
-def _require_odd_prime(p: int) -> None:
-    require_prime(p)
-    if p == 2:
-        raise ValueError(
-            "certificates use odd primes only; the Pontrjagin series "
-            "identity holds up to 2-torsion, which mod 2 proves nothing")
 
 
 @dataclass(frozen=True)
@@ -134,10 +126,14 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
     coefficient in the integer series pontrjagin(n, ell) is nonzero mod
     p; None when every admissible coefficient vanishes. series, when
     given, is that integer series truncated at the nilpotency order or
-    beyond; otherwise it is built at exactly that truncation."""
-    _require_two_frames(ell)
-    _require_odd_prime(p)
+    beyond; otherwise it is built at exactly that truncation. A non-prime
+    p is refused by nilpotency_order, and p = 2 right after it."""
+    _require_two_frames(ell, n)
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
+    if p == 2:
+        raise ValueError(
+            "certificates use odd primes only; the Pontrjagin series "
+            "identity holds up to 2-torsion, which mod 2 proves nothing")
     if series is not None and (series.modulus or series.truncation < order):
         raise ValueError(
             f"need an integer series truncated at {order} or beyond, got "
@@ -189,9 +185,6 @@ class Sweep:
     prime_bound: int
     certificates: tuple[SpanCertificate | ImmersionCertificate, ...]
     best: SpanCertificate | ImmersionCertificate | None
-
-
-SpanSweep = ImmersionSweep = Sweep
 
 
 def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
@@ -265,6 +258,15 @@ class ClaimCheck:
         return tuple(inst.verdict for inst in self.instances)
 
 
+def _require_claim_input(ell: WeightTuple, n: int) -> None:
+    """Every qualifying prime divides n or n - 1, so n <= MAX_PRIME_BOUND
+    keeps each one within a sweep's bound, and trial division short."""
+    _require_two_frames(ell, n)
+    if n > MAX_PRIME_BOUND:
+        raise ValueError(
+            f"claim checks need n <= {MAX_PRIME_BOUND}, got {n}")
+
+
 def _odd_prime_divisors(n: int) -> list[int]:
     if n == 0:
         raise ValueError("0 has no finite list of prime divisors")
@@ -315,7 +317,7 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     2*i1 <= n - 2 sits below the nilpotency order (n - 1 or n), and part
     2's hypotheses make p divide h_{n-1}, so the order is n > 2*i2.
     """
-    _require_two_frames(ell, n)
+    _require_claim_input(ell, n)
     l1, l2 = ell.weights
     gap = l2 - l1
     i1 = (n - 2) // 2
@@ -353,7 +355,7 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     normal series at truncation n. Every instance is admissible:
     2*j <= n - 3 sits below the nilpotency order, n - 1 or n.
     """
-    _require_two_frames(ell, n)
+    _require_claim_input(ell, n)
     l1, l2 = ell.weights
     # n = 2 has no qualifying prime, so j >= 0 below
     j = (n - 3) // 2
@@ -458,7 +460,7 @@ def lens_sq2_criterion(params: LensParams) -> CriterionResult:
     the diagnostic records that whenever d is even.
     """
     d, m = params.d, params.m
-    value = homogeneous_sum_pair(params.l1, params.l2, d)
+    value = homogeneous_sum(WeightTuple((params.l1, params.l2)), d)
     # h_d = 0 has no finite valuation, so it matches no even m
     valuations_match = (value != 0 and m % 2 == 0 and
                         p_adic_valuation(2, m) == p_adic_valuation(2, value))

@@ -122,8 +122,6 @@ class TruncatedSeries:
                 base = base.mul(base)
         return result
 
-    __pow__ = int_pow
-
     def reduce_mod(self, m: int) -> "TruncatedSeries":
         """Coefficientwise reduction of an integer series to Z/m."""
         if self.modulus != 0:

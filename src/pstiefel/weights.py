@@ -8,8 +8,9 @@ downstream is the complete homogeneous sum
     h_r(l_1, ..., l_k) = sum over i_1 + ... + i_k = r, i_j >= 0
                          of l_1^{i_1} * ... * l_k^{i_k},
 
-computed by the one-weight-at-a-time recurrence. Direct enumeration over
-multisets of weights is kept as an independent oracle for small ranges.
+computed by the one-weight-at-a-time recurrence, or for two weights by
+its closed form. Direct enumeration over multisets of weights is kept
+as an independent oracle for small ranges.
 The weighted line bundle sums over complex projective space have total
 Chern class prod_j (1 + l_j x), and the complement's Chern series is its
 inverse, whose x^r coefficient is (-1)^r h_r.
@@ -70,9 +71,18 @@ def homogeneous_sums(ell: WeightTuple, r: int) -> list[int]:
 
 
 def homogeneous_sum(ell: WeightTuple, r: int) -> int:
-    """Complete homogeneous sum h_r of the weights: the last entry of
-    homogeneous_sums(ell, r)."""
-    return homogeneous_sums(ell, r)[r]
+    """Complete homogeneous sum h_r of the weights: for two, the closed
+    form (l1^{r+1} - l2^{r+1}) / (l1 - l2), or (r+1) * l1^r at l1 = l2
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2); for any
+    other count, the last entry of homogeneous_sums(ell, r)."""
+    if len(ell) != 2:
+        return homogeneous_sums(ell, r)[r]
+    if r < 0:
+        raise ValueError(f"negative degree {r}")
+    l1, l2 = ell.weights
+    if l1 == l2:
+        return (r + 1) * l1 ** r
+    return (l1 ** (r + 1) - l2 ** (r + 1)) // (l1 - l2)
 
 
 def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
@@ -89,19 +99,6 @@ def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
             f"oracle range exceeded (r <= {BRUTEFORCE_MAX_R}, "
             f"k <= {BRUTEFORCE_MAX_K}); got r={r}, k={k}")
     return sum(map(math.prod, combinations_with_replacement(ell.weights, r)))
-
-
-def homogeneous_sum_pair(l1: int, l2: int, d: int) -> int:
-    """Closed form for two weights: (l1^{d+1} - l2^{d+1}) / (l1 - l2).
-
-    The division is exact; at l1 = l2 the limit is (d+1) * l1^d.
-    Weights need not be primitive here.
-    """
-    if d < 0:
-        raise ValueError(f"negative degree {d}")
-    if l1 == l2:
-        return (d + 1) * l1 ** d
-    return (l1 ** (d + 1) - l2 ** (d + 1)) // (l1 - l2)
 
 
 def total_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:

@@ -15,8 +15,7 @@ from pstiefel.geometry import (AGREE, DISCREPANT, LensParams,
                                cp_complement_min_rank, immersion_certificate,
                                lens_rank_bound, lens_sq2_criterion,
                                span_certificate)
-from pstiefel.weights import (WeightTuple, complement_chern, homogeneous_sum,
-                              homogeneous_sum_pair)
+from pstiefel.weights import WeightTuple, complement_chern, homogeneous_sum
 
 
 def _report(num, text):
@@ -115,7 +114,7 @@ def test_criterion_09_lens_instance_and_dead_end_diagnostic():
     rep = lens_rank_bound(LensParams(3, 7, 1, 2))
     assert (rep.lower_bound, rep.achievable) == (3, 3)
     assert rep.reason_kind == "homogeneous-sum-mod-m"
-    assert homogeneous_sum_pair(1, 2, 3) == 15
+    assert homogeneous_sum(WeightTuple((1, 2)), 3) == 15
     assert 15 % 7 != 0
 
     fired = 0

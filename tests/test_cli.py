@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -227,6 +228,25 @@ class TestInputErrors:
         assert captured.out == ""
         assert "n >= 2" in captured.err
 
+    def test_claim_checks_refuse_large_n_at_once(self, capsys, monkeypatch):
+        import pstiefel.geometry as geometry
+        argv = ["check-claims", "--n", "1000000000000000003",
+                "--weights", "1,2"]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n <= 1000000, got 1000000000000000003" in captured.err
+
+        # the bound is checked before n is factored
+        def no_factoring(n):
+            raise AssertionError(f"factoring {n}")
+
+        monkeypatch.setattr(geometry, "_odd_prime_divisors", no_factoring)
+        assert main(argv) == 1
+        assert "n <= 1000000, got" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["span", "immersion"])
     def test_prime_with_prime_bound_exits_1(self, capsys, kind):
         # a single prime and a sweep bound are two different requests
@@ -379,12 +399,12 @@ def test_lens_computes_the_criterion_once(capsys, monkeypatch, m):
 def test_lens_computes_h_d_once(capsys, monkeypatch, m):
     import pstiefel.geometry as geometry
     calls = []
-    original = geometry.homogeneous_sum_pair
-    monkeypatch.setattr(geometry, "homogeneous_sum_pair",
+    original = geometry.homogeneous_sum
+    monkeypatch.setattr(geometry, "homogeneous_sum",
                         lambda *args: calls.append(args) or original(*args))
     assert main(["lens", "--d", "3", "--m", m, "--weights", "1,2",
                  "--json"]) == 0
-    assert calls == [(1, 2, 3)]
+    assert calls == [(weights.WeightTuple((1, 2)), 3)]
 
 
 class TestDeterminism:

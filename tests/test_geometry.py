@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstiefel.geometry as geometry
+import pstiefel.ring as ring
 from pstiefel.cohomology import InvariantViolation, StiefelParams
 from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                ImmersionCertificate, LensParams,
@@ -15,7 +16,8 @@ from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                lens_sq2_criterion, normal_pontrjagin,
                                span_certificate, tangent_pontrjagin)
 from pstiefel.series import TruncatedSeries
-from pstiefel.weights import WeightTuple, homogeneous_sum
+from pstiefel.ring import primes_upto
+from pstiefel.weights import WeightTuple, homogeneous_sums
 
 
 def W(*ws):
@@ -165,6 +167,28 @@ class TestSweepInput:
             best_span_bound(7, W(1, 2, 3), 0)
 
 
+class TestCertificateInput:
+    @pytest.mark.parametrize("certificate",
+                             [span_certificate, immersion_certificate])
+    def test_small_n_has_the_sweep_message(self, certificate):
+        with pytest.raises(ValueError,
+                           match="^need n >= 2 for two frames, got 1$"):
+            certificate(1, W(1, 2), 3)
+
+    def test_one_primality_test_per_attempt(self, monkeypatch):
+        calls = []
+        original = ring.is_prime
+        monkeypatch.setattr(ring, "is_prime",
+                            lambda p: calls.append(p) or original(p))
+        span_certificate(7, W(1, 2), 7)
+        immersion_certificate(8, W(1, 8), 7)
+        assert calls == [7, 7]
+        calls.clear()
+        best_span_bound(90, W(1, 2), 360)
+        assert calls == primes_upto(360)[1:]
+        assert len(calls) == 71
+
+
 class TestSpanClaimChecker:
     def test_agree_instance(self):
         check = check_span_theorem(7, W(1, 2))
@@ -204,6 +228,30 @@ class TestSpanClaimChecker:
     def test_verdicts_tuple(self):
         check = check_span_theorem(7, W(1, 2))
         assert check.verdicts == (AGREE, NOT_APPLICABLE)
+
+
+class TestClaimInput:
+    CAP = geometry.MAX_PRIME_BOUND
+
+    @pytest.mark.parametrize("check",
+                             [check_span_theorem, check_immersion_theorem])
+    def test_n_is_capped_before_factoring(self, monkeypatch, check):
+        def no_factoring(n):
+            raise AssertionError(f"factoring {n}")
+
+        monkeypatch.setattr(geometry, "_odd_prime_divisors", no_factoring)
+        for n in (self.CAP + 1, 10 ** 18 + 3):
+            with pytest.raises(ValueError, match=f"n <= {self.CAP}, got {n}"):
+                check(n, W(1, 2))
+
+    @pytest.mark.parametrize("check",
+                             [check_span_theorem, check_immersion_theorem])
+    def test_cap_itself_is_accepted(self, monkeypatch, check):
+        seen = []
+        monkeypatch.setattr(geometry, "_odd_prime_divisors",
+                            lambda n: seen.append(n) or [])
+        assert check(self.CAP, W(1, 2)).vacuous
+        assert seen
 
 
 class TestClaimVerdictRule:
@@ -341,7 +389,7 @@ class TestLensBounds:
         params = LensParams(d, m, *ell)
         rep = lens_rank_bound(params)
         crit = lens_sq2_criterion(params)
-        forced = homogeneous_sum(WeightTuple(ell), d) % m != 0
+        forced = homogeneous_sums(WeightTuple(ell), d)[d] % m != 0
         assert rep.lower_bound == (d if forced else d - 1)
         assert rep.achievable == d
         assert not rep.criterion.satisfied

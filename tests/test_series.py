@@ -121,10 +121,6 @@ class TestIntPow:
             assert a.int_pow(e) == by_mul
             by_mul = by_mul * a
 
-    def test_dunder_pow(self):
-        a = S((1, 1), 5)
-        assert a ** 2 == a * a
-
 
 class TestCoeffAndReduce:
     def test_coeff_returns_residue(self):

@@ -3,10 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pstiefel.weights as weights
+from pstiefel.cohomology import StiefelParams, nilpotency_order
 from pstiefel.weights import (WeightTuple, complement_chern, homogeneous_sum,
-                              homogeneous_sum_bruteforce, homogeneous_sum_pair,
-                              homogeneous_sums, total_chern)
+                              homogeneous_sum_bruteforce, homogeneous_sums,
+                              total_chern)
 
 
 class TestWeightTuple:
@@ -100,16 +104,19 @@ class TestBruteforceOracle:
 
 
 class TestPairClosedForm:
+    """homogeneous_sum of two weights is the closed form
+    (l1^{r+1} - l2^{r+1}) / (l1 - l2); the table is its oracle."""
+
     def test_pinned_values(self):
-        assert homogeneous_sum_pair(1, -1, 2) == 1
-        assert homogeneous_sum_pair(1, 2, 3) == 15
-        assert homogeneous_sum_pair(2, 1, 3) == 15
+        assert homogeneous_sum(WeightTuple((1, -1)), 2) == 1
+        assert homogeneous_sum(WeightTuple((1, 2)), 3) == 15
+        assert homogeneous_sum(WeightTuple((2, 1)), 3) == 15
 
     def test_equal_weights_limit(self):
-        # the quotient degenerates to (d+1) * l^d
-        assert homogeneous_sum_pair(1, 1, 4) == 5
-        assert homogeneous_sum_pair(3, 3, 2) == 27
-        assert homogeneous_sum_pair(-2, -2, 3) == -32
+        # the quotient degenerates to (r+1) * l^r; (1, 1) and (-1, -1)
+        # are the only primitive equal pairs
+        assert homogeneous_sum(WeightTuple((1, 1)), 4) == 5
+        assert homogeneous_sum(WeightTuple((-1, -1)), 3) == -4
 
     def test_agrees_with_general_sum(self):
         for l1 in range(-4, 5):
@@ -117,13 +124,49 @@ class TestPairClosedForm:
                 if math.gcd(l1, l2) != 1:
                     continue
                 ell = WeightTuple((l1, l2))
+                table = homogeneous_sums(ell, 7)
                 for d in range(8):
-                    assert homogeneous_sum_pair(l1, l2, d) == \
-                        homogeneous_sum(ell, d)
+                    assert homogeneous_sum(ell, d) == table[d]
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            homogeneous_sum_pair(1, 2, -1)
+        for ws in ((1, 2), (1, 1)):
+            with pytest.raises(ValueError, match="^negative degree -1$"):
+                homogeneous_sum(WeightTuple(ws), -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ell=st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+           .filter(lambda ws: math.gcd(*ws) == 1),
+           r=st.integers(0, 300))
+    @example(ell=(1, 1), r=0)
+    @example(ell=(1, 1), r=300)
+    @example(ell=(-1, -1), r=7)
+    @example(ell=(-1, -1), r=300)
+    @example(ell=(0, 1), r=12)
+    @example(ell=(0, -1), r=299)
+    @example(ell=(-1, 0), r=5)
+    def test_closed_form_against_table_and_enumeration(self, ell, r):
+        ell = WeightTuple(ell)
+        got = homogeneous_sum(ell, r)
+        assert got == homogeneous_sums(ell, r)[r]
+        if r <= 12:
+            assert got == homogeneous_sum_bruteforce(ell, r)
+
+    def test_two_weights_never_build_the_table(self, monkeypatch):
+        def table(ell, r):
+            raise AssertionError(f"table built for {ell.weights}")
+
+        monkeypatch.setattr(weights, "homogeneous_sums", table)
+        assert homogeneous_sum(WeightTuple((1, 2)), 40) == 2 ** 41 - 1
+        assert homogeneous_sum(WeightTuple((-1, -1)), 5) == -6
+        # h_29(2, -3) = 0 mod 5, while h_30(1, 4) != 0 mod 3
+        assert nilpotency_order(StiefelParams(30, 2, WeightTuple((2, -3))),
+                                5) == 30
+        assert nilpotency_order(StiefelParams(31, 2, WeightTuple((1, 4))),
+                                3) == 30
+        with pytest.raises(AssertionError, match="table built"):
+            homogeneous_sum(WeightTuple((1, 2, 3)), 4)
+        with pytest.raises(AssertionError, match="table built"):
+            homogeneous_sum(WeightTuple((1,)), 4)
 
 
 class TestChernSeries:
@@ -141,7 +184,7 @@ class TestChernSeries:
         for l1, l2 in ((1, 2), (2, 3), (1, -3), (5, -4)):
             comp = complement_chern(WeightTuple((l1, l2)), 9)
             for j in range(9):
-                expect = (-1) ** j * homogeneous_sum_pair(l1, l2, j)
+                expect = (-1) ** j * homogeneous_sum(WeightTuple((l1, l2)), j)
                 assert comp.coeff(j) == expect
 
     def test_product_is_one(self):
