@@ -447,6 +447,11 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"pstiefel: error: {exc}", file=sys.stderr)
             return 1
+        except (MemoryError, OverflowError) as exc:
+            # a size this machine cannot hold, such as --truncation 10**19
+            print(f"pstiefel: error: input too large ({type(exc).__name__}"
+                  f"{': ' if str(exc) else ''}{exc})", file=sys.stderr)
+            return 1
         except InvariantViolation as exc:
             print(f"pstiefel: internal invariant violation: {exc}",
                   file=sys.stderr)

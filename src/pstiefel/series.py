@@ -6,13 +6,16 @@ and everything at x^truncation and beyond is discarded. In the geometric
 applications x sits in topological degree 2, so index i means degree 2i
 there, but this module knows nothing about degrees.
 
-Values are immutable; every operation returns a fresh series. Inversion
-requires the constant term to be a unit (so +-1 over Z) and is computed
-by the usual triangular recursion, which is exact.
+Values are immutable; every operation returns a fresh series and loops
+over nonzero terms only: inversion by the triangular recursion, powers
+by Knuth's power recurrence (TAOCP vol. 2, 4.7) on the integer lift.
+Inverses and negative powers need a unit constant term (+-1 over Z).
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -65,62 +68,81 @@ class TruncatedSeries:
                 f"modulus mismatch: {self.modulus} vs {other.modulus}")
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated."""
+        """Cauchy product, truncated, over the nonzero terms: the sparser
+        factor outside, so terms(a) * terms(b) products at most."""
         self._check_compatible(other)
         T = self.truncation
-        a, b = self.coeffs, other.coeffs
+        a, b = sorted((self._terms(), other._terms()), key=len)
         out = [0] * T
-        for i, av in enumerate(a):
-            if not av:
-                continue
-            for j, bv in enumerate(b[: T - i]):
-                if bv:
-                    out[i + j] += av * bv
+        for i, av in a:
+            # (T - i,) sorts before every term (T - i, c)
+            for j, bv in b[:bisect_left(b, (T - i,))]:
+                out[i + j] += av * bv
         return TruncatedSeries(out, T, self.modulus)
 
     __mul__ = mul
 
+    def _terms(self) -> list[tuple[int, int]]:
+        return [(i, c) for i, c in enumerate(self.coeffs) if c]
+
+    def _unit_inverse(self) -> int:
+        """Inverse of the constant term, which must be a unit."""
+        c0, m = self.coeffs[0], self.modulus
+        if m == 0 and c0 not in (1, -1):
+            raise ValueError(
+                f"not invertible over Z: constant term {c0} is not a unit")
+        if m and math.gcd(c0, m) != 1:
+            raise ValueError(f"not invertible mod {m}: constant term {c0} "
+                             f"shares a factor with the modulus")
+        return pow(c0, -1, m) if m else c0
+
     def inv(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
+        """Multiplicative inverse by the triangular recursion over the
+        nonzero terms, T * terms products; needs a unit constant term."""
         T, m = self.truncation, self.modulus
-        a = self.coeffs
-        c0 = a[0]
-        if m == 0:
-            if c0 not in (1, -1):
-                raise ValueError(
-                    f"not invertible over Z: constant term {c0} is not a unit")
-            b0 = c0
-        else:
-            try:
-                b0 = pow(c0, -1, m)
-            except ValueError:
-                raise ValueError(
-                    f"not invertible mod {m}: constant term {c0} "
-                    f"shares a factor with the modulus") from None
-        b = [0] * T
-        b[0] = b0
+        b0 = self._unit_inverse()
+        terms = self._terms()[1:]
+        b = [b0] + [0] * (T - 1)
         for i in range(1, T):
             s = 0
-            for j in range(1, i + 1):
-                if a[j]:
-                    s += a[j] * b[i - j]
+            for j, aj in terms:
+                if j > i:
+                    break
+                s += aj * b[i - j]
             b[i] = -b0 * s % m if m else -b0 * s
         return TruncatedSeries(b, T, m)
 
     def int_pow(self, e: int) -> "TruncatedSeries":
-        """Integer power by repeated squaring; negative e inverts first."""
-        base = self
+        """Integer power W = V^e by Knuth's recurrence (TAOCP vol. 2, 4.7,
+        eq. (9)), i v_0 w_i = sum_{k=1..i} ((e + 1) k - i) v_k w_{i-k}, over
+        the nonzero v_k: T * terms products, no series product. The
+        x-valuation s is shifted out first (V^e = x^{se} U^e). The sum runs
+        on the integer lift, where dividing by i v_0 is exact, and is
+        reduced mod m at the end (Z -> Z/m is a ring map); mod m a unit v_0
+        is scaled to 1 and v_0^e multiplied back. A negative e needs a unit
+        constant term, as ``inv`` does."""
+        T, m = self.truncation, self.modulus
         if e < 0:
-            base = self.inv()
-            e = -e
-        result = TruncatedSeries.one(self.truncation, self.modulus)
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            e >>= 1
-            if e:
-                base = base.mul(base)
-        return result
+            self._unit_inverse()
+        terms = self._terms()
+        size = T - terms[0][0] * e if terms else 0
+        if e == 0 or size <= 0:
+            return TruncatedSeries([int(e == 0)], T, m)
+        s, c = terms[0]
+        scale = 1
+        if m and math.gcd(c, m) == 1:
+            u, scale, c = pow(c, -1, m), pow(c, e, m), 1
+            terms = [(k, v * u % m) for k, v in terms]
+        w = [c ** abs(e)] + [0] * (size - 1)  # e < 0 only if c = +-1
+        rest, e1 = [(k - s, v) for k, v in terms[1:]], e + 1
+        for i in range(1, size):
+            acc = 0
+            for k, v in rest:
+                if k > i:
+                    break
+                acc += (e1 * k - i) * v * w[i - k]
+            w[i] = acc // (i * c)
+        return TruncatedSeries([0] * (s * e) + [scale * x for x in w], T, m)
 
     def reduce_mod(self, m: int) -> "TruncatedSeries":
         """Coefficientwise reduction of an integer series to Z/m."""

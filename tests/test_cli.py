@@ -441,6 +441,23 @@ def test_module_entry_point():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("argv,error", [
+    ("chern --weights 1,2 --truncation 10000000000000000000", "OverflowError"),
+    ("pontrjagin --n 5 --weights 1,2 --truncation 10000000000000000000",
+     "OverflowError"),
+    ("complement --n 10000000000000000000 --weights 1,2", "OverflowError"),
+    ("chern --weights 1,2 --truncation 2000000000000000000", "MemoryError"),
+])
+def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
+    proc = subprocess.run([sys.executable, "-m", "pstiefel", *argv.split()],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        f"pstiefel: error: input too large ({error}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # about 360 KB of JSON, far more than a pipe buffer holds, into a
     # pipe whose reader is gone before the first byte

@@ -348,6 +348,13 @@ class TestLensBounds:
         with pytest.raises(ValueError, match="coprime"):
             LensParams(3, 5, 2, 4)
 
+    def test_join_dimension_cap(self):
+        # constructed only: a report at d = 10^19 would not finish
+        assert LensParams(10 ** 6, 3, 1, 2).d == 10 ** 6
+        for d in (10 ** 6 + 1, 10 ** 19):
+            with pytest.raises(ValueError, match=f"need d <= 1000000, got {d}"):
+                LensParams(d, 3, 1, 2)
+
     def test_unit_sum_forces_full_rank(self):
         rep = lens_rank_bound(LensParams(3, 7, 1, 2))
         assert (rep.lower_bound, rep.achievable) == (3, 3)

@@ -2,8 +2,9 @@
 
 Certificates, sweeps and claim checks read the integer series and
 reduce its coefficients mod p. The oracle here builds the series mod p
-directly (``modulus=p``, dense ``int_pow``) and scans it; both routes
-must give the same answers.
+directly, by repeated squaring and dense schoolbook products (the
+oracles of ``test_series``, not the engine's power recurrence), and
+scans it; both routes must give the same answers.
 """
 
 import math
@@ -20,7 +21,9 @@ from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                immersion_certificate, normal_pontrjagin,
                                span_certificate, tangent_pontrjagin)
 from pstiefel.ring import primes_upto
+from pstiefel.series import TruncatedSeries
 from pstiefel.weights import WeightTuple
+from test_series import power_by_squaring, schoolbook_mul
 
 KINDS = {
     "span": (tangent_pontrjagin, span_certificate, best_span_bound,
@@ -40,13 +43,26 @@ def odd_primes(bound):
     return [p for p in primes_upto(bound) if p != 2]
 
 
+def dense_pontrjagin(kind, n, ell, p, truncation):
+    """The tangent or normal series mod p, built densely: the frame factor
+    (1 - l1^2 x^2)(1 - l2^2 x^2) to the power +-n times the difference
+    factor 1 - (l2 - l1)^2 x^2 to the power -+1."""
+    l1, l2 = ell.weights
+    sign = 1 if kind == "span" else -1
+    frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
+                             truncation, p)
+    diff = TruncatedSeries([1, 0, -(l2 - l1) ** 2], truncation, p)
+    return schoolbook_mul(power_by_squaring(frames, sign * n),
+                          power_by_squaring(diff, -sign))
+
+
 def oracle_scan(kind, n, ell, p):
     """(index, witness) at the largest admissible index whose coefficient
     of the dense mod-p series is nonzero, or None."""
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
     if order < 3:
         return None
-    series = KINDS[kind][0](n, ell, modulus=p, truncation=order)
+    series = dense_pontrjagin(kind, n, ell, p, order)
     for i in range((order - 1) // 2, 0, -1):
         if series.coeff(2 * i):
             return i, series.coeff(2 * i)
@@ -80,7 +96,7 @@ class TestAgainstDenseOracle:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_claim_coefficients(self, kind):
-        pontrjagin, _, _, check = KINDS[kind]
+        check = KINDS[kind][3]
         checked = 0
         for n in range(2, 41):
             for ws in PAIRS:
@@ -94,9 +110,9 @@ class TestAgainstDenseOracle:
                         continue
                     order = nilpotency_order(StiefelParams(n, 2, ell),
                                              inst.prime)
-                    series = pontrjagin(
-                        n, ell, modulus=inst.prime,
-                        truncation=max(order, 2 * inst.index + 1))
+                    series = dense_pontrjagin(
+                        kind, n, ell, inst.prime,
+                        max(order, 2 * inst.index + 1))
                     assert inst.coefficient == series.coeff(2 * inst.index)
                     assert inst.admissible == (2 * inst.index <= order - 1)
                     assert inst.verdict == (
@@ -183,6 +199,36 @@ class TestOneBuildPerCall:
         result = check(n, WeightTuple(ws))
         assert len({inst.prime for inst in result.instances}) == primes
         assert len(builds) == min(primes, 1)
+
+
+class TestSeriesKernelCalls:
+    """Each Pontrjagin series is one power of the frame factor times the
+    difference factor or its inverse, and a power makes no product."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"int_pow": 0, "mul": 0, "inv": 0}
+        for name in counts:
+            def counted(*args, _name=name,
+                        _method=getattr(TruncatedSeries, name)):
+                counts[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(TruncatedSeries, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("kind,inv", [("span", 1), ("immersion", 0)])
+    @pytest.mark.parametrize("n,ws,modulus", [(7, (1, 2), 0), (40, (1, 8), 0),
+                                              (101, (-3, 5), 7)])
+    def test_one_power_and_one_product(self, calls, kind, inv, n, ws,
+                                       modulus):
+        KINDS[kind][0](n, WeightTuple(ws), modulus=modulus)
+        assert calls == {"int_pow": 1, "mul": 1, "inv": inv}
+
+    @pytest.mark.parametrize("e", [-200, -7, 1, 2, 5, 64, 200])
+    def test_a_power_makes_no_product(self, calls, e):
+        frames = TruncatedSeries([1, 0, -5, 0, 4], 100)
+        frames.int_pow(e)
+        assert calls == {"int_pow": 1, "mul": 0, "inv": 0}
 
 
 class TestClaimCheckerInput:

@@ -1,12 +1,112 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pstiefel.series import TruncatedSeries
 
 
 def S(coeffs, truncation, modulus=0):
     return TruncatedSeries(coeffs, truncation, modulus)
+
+
+# Oracles independent of the sparse loops and of Knuth's power recurrence:
+# the dense schoolbook product and inverse, and the power by repeated
+# squaring over them.
+
+def schoolbook_mul(self, other):
+    """Cauchy product, truncated."""
+    self._check_compatible(other)
+    T = self.truncation
+    a, b = self.coeffs, other.coeffs
+    out = [0] * T
+    for i, av in enumerate(a):
+        if not av:
+            continue
+        for j, bv in enumerate(b[: T - i]):
+            if bv:
+                out[i + j] += av * bv
+    return TruncatedSeries(out, T, self.modulus)
+
+
+def schoolbook_inv(self):
+    """Multiplicative inverse; the constant term must be a unit."""
+    T, m = self.truncation, self.modulus
+    a = self.coeffs
+    c0 = a[0]
+    if m == 0:
+        if c0 not in (1, -1):
+            raise ValueError(
+                f"not invertible over Z: constant term {c0} is not a unit")
+        b0 = c0
+    else:
+        try:
+            b0 = pow(c0, -1, m)
+        except ValueError:
+            raise ValueError(
+                f"not invertible mod {m}: constant term {c0} "
+                f"shares a factor with the modulus") from None
+    b = [0] * T
+    b[0] = b0
+    for i in range(1, T):
+        s = 0
+        for j in range(1, i + 1):
+            if a[j]:
+                s += a[j] * b[i - j]
+        b[i] = -b0 * s % m if m else -b0 * s
+    return TruncatedSeries(b, T, m)
+
+
+def power_by_squaring(self, e):
+    """Integer power by repeated squaring; negative e inverts first."""
+    base = self
+    if e < 0:
+        base = schoolbook_inv(self)
+        e = -e
+    result = TruncatedSeries.one(self.truncation, self.modulus)
+    while e:
+        if e & 1:
+            result = schoolbook_mul(result, base)
+        e >>= 1
+        if e:
+            base = schoolbook_mul(base, base)
+    return result
+
+
+def outcome(fn, *args):
+    """The series fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def sparse_series(draw, truncation, modulus):
+    """Mostly zero coefficients, with zero, non-unit and unit constant
+    terms and leading zeros (a positive x-valuation) all drawn often."""
+    value = st.integers(-30, 30) if modulus == 0 else st.integers(
+        0, modulus - 1)
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.just(0), value),
+                           min_size=truncation, max_size=truncation))
+    coeffs[0] = draw(st.one_of(st.sampled_from([0, 1, -1, 2, -3]), value))
+    return S(coeffs, truncation, modulus)
+
+
+MODULI = [0, 2, 3, 4, 6, 7, 9, 12, 25]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), T=st.integers(1, 40), m=st.sampled_from(MODULI),
+       e=st.integers(-12, 12))
+def test_kernels_match_the_dense_oracles(data, T, m, e):
+    a = data.draw(sparse_series(T, m))
+    b = data.draw(sparse_series(T, m))
+    assert outcome(a.int_pow, e) == outcome(power_by_squaring, a, e)
+    assert outcome(a.inv) == outcome(schoolbook_inv, a)
+    assert a.mul(b) == schoolbook_mul(a, b)
+    assert b.mul(a) == schoolbook_mul(a, b)
 
 
 class TestConstruction:
