@@ -7,20 +7,23 @@ single JSON object with the fixed shape
 
 where every number is a decimal string so arbitrary precision survives
 serialization. Output is deterministic: identical invocations produce
-identical bytes. Exit codes: 0 for any successfully computed answer
-(including DISCREPANT claim checks and absent certificates), 1 for
-invalid input or a stdout closed before the report is written, 2 for an
-internal invariant violation or a failed verification suite.
+identical bytes. One recursive pass renders the report, byte for byte
+what json.dumps(..., indent=2, sort_keys=True) gives for the same report
+with every int written as its decimal string. Exit codes: 0 for any
+successfully computed answer (including DISCREPANT claim checks and
+absent certificates), 1 for invalid input or a stdout closed before the
+report is written, 2 for an internal invariant violation or a failed
+verification suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import verify as verify_mod
 from .cohomology import (CohomologyPresentation, InvariantViolation,
@@ -96,17 +99,38 @@ def _bind_negative_weights(argv: list[str]) -> list[str]:
     return out
 
 
-def _stringify(obj):
-    """Numbers to decimal strings, recursively; booleans stay booleans."""
-    if isinstance(obj, bool):
-        return obj
+def _render(obj, indent: str = "\n") -> str:
+    """JSON text of a report whose every int prints as a quoted decimal:
+    sorted keys, two-space indentation, "," and ": " as separators, ASCII
+    strings. A list of plain ints is one join; bools stay true and false.
+    Keys must be strings; a float or any other type raises TypeError."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, int):
-        return str(obj)
+        return '"' + str(obj) + '"'
+    inner = indent + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = sep.join(_quote(key) + ": " + _render(obj[key], inner)
+                         for key in sorted(obj))
+        return "{" + inner + items + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):
+            items = '"' + ('"' + sep + '"').join(map(str, obj)) + '"'
+        else:
+            items = sep.join(_render(v, inner) for v in obj)
+        return "[" + inner + items + indent + "]"
+    raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _series_payload(series) -> dict:
@@ -211,6 +235,8 @@ def _cmd_cohomology(args):
 
 def _cmd_chern(args):
     ell = _parse_weights(args.weights)
+    if args.truncation is not None and args.n is not None:
+        raise ValueError("give --truncation or --n, not both")
     if args.truncation is not None:
         T = args.truncation
     elif args.n is not None:
@@ -456,11 +482,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pstiefel: internal invariant violation: {exc}",
                   file=sys.stderr)
             return 2
-        report = _stringify({"command": args.command, "certificates": [],
-                             "diagnostics": [], "claim_checks": [], **fields})
         try:
             if args.json:
-                print(json.dumps(report, indent=2, sort_keys=True))
+                print(_render({"command": args.command, "certificates": [],
+                               "diagnostics": [], "claim_checks": [],
+                               **fields}))
             else:
                 for line in lines:
                     print(line)

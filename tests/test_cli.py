@@ -5,8 +5,11 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pstiefel.weights as weights
+from pstiefel import cli
 from pstiefel.cli import REPORT_SCHEMA, main
 
 
@@ -256,6 +259,15 @@ class TestInputErrors:
         assert captured.out == ""
         assert "--prime-bound" in captured.err
 
+    def test_truncation_with_n_exits_1(self, capsys):
+        # chern's two ways of giving the truncation, like --prime and
+        # --prime-bound, are one or the other
+        assert main(["chern", "--weights", "1,2", "--truncation", "3",
+                     "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give --truncation or --n, not both" in captured.err
+
     def test_large_prime_is_decided(self, capsys):
         rc = main(["span", "--n", "5", "--weights", "1,2",
                    "--prime", "1000000000000000003"])
@@ -425,10 +437,67 @@ class TestDeterminism:
         assert first == second
 
     def test_keys_are_sorted(self, capsys):
-        _, _, out = run_json(
-            capsys, ["span", "--n", "7", "--weights", "1,2", "--prime", "7"])
-        doc = json.loads(out)
-        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        for argv in (
+                ["span", "--n", "7", "--weights", "1,2", "--prime", "7"],
+                # booleans and lists of dicts
+                ["verify", "--quick"],
+                # long lists of ints
+                ["cohomology", "--n", "30", "--k", "15",
+                 "--weights=" + ",".join(["1"] * 14 + ["2"]), "--prime", "3"]):
+            _, _, out = run_json(capsys, argv)
+            doc = json.loads(out)
+            assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def stringify(obj):
+    """Numbers to decimal strings, recursively; booleans stay booleans."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: stringify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [stringify(v) for v in obj]
+    return obj
+
+
+def two_pass(obj):
+    """The renderer's oracle: a copy with decimal strings for ints, then
+    the standard library's encoder."""
+    return json.dumps(stringify(obj), indent=2, sort_keys=True)
+
+
+# strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII, astral and lone surrogate code points
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | \
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\U0001d11e", "\ud800"])
+INTS = st.integers() | st.integers(-10 ** 5000, 10 ** 5000)
+LEAVES = (TEXT | INTS | st.booleans() | st.none()
+          | st.lists(INTS, max_size=6)
+          | st.lists(INTS | st.booleans(), max_size=6))
+REPORTS = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=20)
+
+
+class TestRender:
+    @settings(max_examples=300, deadline=None)
+    @given(report=REPORTS)
+    @example(report={"b": [1, True], "a": {}, "c": [], "d": (-7, None)})
+    @example(report=[10 ** 4999, -(10 ** 4999)])
+    def test_matches_the_two_pass_encoder(self, report):
+        with cli._any_int_digits():
+            assert cli._render(report) == two_pass(report)
+
+    @pytest.mark.parametrize("report", [
+        1.5, {"a": [1, 2.5]}, object(), [object()], {1: "1"}])
+    def test_other_types_raise(self, report):
+        with pytest.raises(TypeError):
+            cli._render(report)
 
 
 def test_module_entry_point():
