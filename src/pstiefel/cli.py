@@ -9,7 +9,11 @@ where every number is a decimal string so arbitrary precision survives
 serialization. Output is deterministic: identical invocations produce
 identical bytes. One recursive pass renders the report, byte for byte
 what json.dumps(..., indent=2, sort_keys=True) gives for the same report
-with every int written as its decimal string. Exit codes: 0 for any
+with every int written as its decimal string; it appends every piece to
+one list, joined once, and joins int lists in chunks, so a report of
+long int lists peaks at about twice its length. complement --n and the
+chern truncation have named caps (MAX_COMPLEMENT_N and
+MAX_CHERN_TRUNCATION), checked before any work. Exit codes: 0 for any
 successfully computed answer (including DISCREPANT claim checks and
 absent certificates), 1 for invalid input or a stdout closed before the
 report is written, 2 for an internal invariant violation or a failed
@@ -37,6 +41,14 @@ from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
                        normal_pontrjagin, span_certificate,
                        tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
+
+# Caps on the two commands whose work grows quadratically in one flag,
+# each checked before any table or series is built. At the cap, with
+# weights 1,2,3 on a 2-vCPU VM: complement's h-table holds Theta(n^2)
+# bits, 0.55 s and 276 MB; chern prints Theta(T^2) digits, 0.84 s for
+# 8.7 MB of JSON.
+MAX_COMPLEMENT_N = 50_000
+MAX_CHERN_TRUNCATION = 6_000
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
 
@@ -99,38 +111,67 @@ def _bind_negative_weights(argv: list[str]) -> list[str]:
     return out
 
 
+# A list of plain ints is joined this many entries at a time, so the
+# renderer holds only one chunk's decimal strings beside the report.
+RENDER_CHUNK = 1024
+
+
 def _render(obj, indent: str = "\n") -> str:
     """JSON text of a report whose every int prints as a quoted decimal:
     sorted keys, two-space indentation, "," and ": " as separators, ASCII
-    strings. A list of plain ints is one join; bools stay true and false.
-    Keys must be strings; a float or any other type raises TypeError."""
+    strings. A list of plain ints is joined in chunks of RENDER_CHUNK;
+    bools stay true and false. Keys must be strings; a float or any other
+    type raises TypeError. Every piece goes to one list, joined once, so
+    a report of long int lists peaks at about twice its length."""
+    pieces = []
+    _emit(obj, indent, pieces.append)
+    return "".join(pieces)
+
+
+def _emit(obj, indent: str, put) -> None:
     if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return '"' + str(obj) + '"'
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(obj, dict):
+        put(_quote(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put('"' + str(obj) + '"')
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = sep.join(_quote(key) + ": " + _render(obj[key], inner)
-                         for key in sorted(obj))
-        return "{" + inner + items + indent + "}"
-    if isinstance(obj, (list, tuple)):
+            put("{}")
+            return
+        inner = indent + "  "
+        sep, lead = "," + inner, "{" + inner
+        for key in sorted(obj):
+            put(lead + _quote(key) + ": ")
+            _emit(obj[key], inner, put)
+            lead = sep
+        put(indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        if all(type(v) is int for v in obj):
-            items = '"' + ('"' + sep + '"').join(map(str, obj)) + '"'
+            put("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, obj)) == {int}:
+            joiner = '",' + inner + '"'
+            lead = "[" + inner + '"'
+            for start in range(0, len(obj), RENDER_CHUNK):
+                put(lead)
+                put(joiner.join(map(str, obj[start:start + RENDER_CHUNK])))
+                lead = joiner
+            put('"' + indent + "]")
         else:
-            items = sep.join(_render(v, inner) for v in obj)
-        return "[" + inner + items + indent + "]"
-    raise TypeError(f"a report holds no {type(obj).__name__}")
+            sep, lead = "," + inner, "[" + inner
+            for v in obj:
+                put(lead)
+                _emit(v, inner, put)
+                lead = sep
+            put(indent + "]")
+    else:
+        raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _series_payload(series) -> dict:
@@ -243,6 +284,9 @@ def _cmd_chern(args):
         T = args.n + 1
     else:
         raise ValueError("chern needs --truncation or --n")
+    if T > MAX_CHERN_TRUNCATION:
+        raise ValueError(
+            f"chern needs truncation <= {MAX_CHERN_TRUNCATION}, got {T}")
     total = total_chern(ell, T)
     comp = complement_chern(ell, T)
     return [f"total:      {total!r}", f"complement: {comp!r}"], {
@@ -324,6 +368,9 @@ def _cmd_certificates(args):
 
 def _cmd_complement(args):
     ell = _parse_weights(args.weights)
+    if args.n > MAX_COMPLEMENT_N:
+        raise ValueError(
+            f"complement needs n <= {MAX_COMPLEMENT_N}, got {args.n}")
     return _rank_report(cp_complement_min_rank(args.n, ell),
                         {"n": args.n, "weights": list(ell.weights)})
 

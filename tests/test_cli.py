@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -484,11 +485,21 @@ REPORTS = st.recursive(
     max_leaves=20)
 
 
+def chunk_edge(length):
+    """Ints of 1 to 397 digits and both signs, for int lists that end on
+    either side of a multiple of the renderer's chunk of 1,024."""
+    return [(-1) ** i * 7 ** (i % 470) for i in range(length)]
+
+
 class TestRender:
     @settings(max_examples=300, deadline=None)
     @given(report=REPORTS)
     @example(report={"b": [1, True], "a": {}, "c": [], "d": (-7, None)})
     @example(report=[10 ** 4999, -(10 ** 4999)])
+    @example(report={"a": chunk_edge(1023), "b": tuple(chunk_edge(1024))})
+    @example(report=[chunk_edge(1025), [chunk_edge(2049)]])
+    # a long list that ends in a bool still renders element by element
+    @example(report={"c": chunk_edge(2048) + [True]})
     def test_matches_the_two_pass_encoder(self, report):
         with cli._any_int_digits():
             assert cli._render(report) == two_pass(report)
@@ -498,6 +509,17 @@ class TestRender:
     def test_other_types_raise(self, report):
         with pytest.raises(TypeError):
             cli._render(report)
+
+    def test_peak_memory_is_about_twice_the_report(self):
+        report = {"result": {"coefficients": list(range(100_000)),
+                             "truncation": 100_000}}
+        tracemalloc.start()
+        try:
+            out = cli._render(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(out)
 
 
 def test_module_entry_point():
@@ -511,11 +533,10 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("argv,error", [
-    ("chern --weights 1,2 --truncation 10000000000000000000", "OverflowError"),
     ("pontrjagin --n 5 --weights 1,2 --truncation 10000000000000000000",
      "OverflowError"),
-    ("complement --n 10000000000000000000 --weights 1,2", "OverflowError"),
-    ("chern --weights 1,2 --truncation 2000000000000000000", "MemoryError"),
+    ("pontrjagin --n 5 --weights 1,2 --truncation 2000000000000000000",
+     "MemoryError"),
 ])
 def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
     proc = subprocess.run([sys.executable, "-m", "pstiefel", *argv.split()],
@@ -525,6 +546,49 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
     assert proc.stderr.startswith(
         f"pstiefel: error: input too large ({error}")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("complement --n 3000000 --weights 1,2,3",
+     "complement needs n <= 50000, got 3000000"),
+    ("complement --n 10000000000000000000 --weights 1,2",
+     "complement needs n <= 50000, got 10000000000000000000"),
+    ("chern --weights 1,2,3 --truncation 200000",
+     "chern needs truncation <= 6000, got 200000"),
+    ("chern --weights 1,2,3 --n 6000",
+     "chern needs truncation <= 6000, got 6001"),
+    ("chern --weights 1,2 --truncation 10000000000000000000",
+     "chern needs truncation <= 6000, got 10000000000000000000"),
+    ("chern --weights 1,2 --truncation 2000000000000000000",
+     "chern needs truncation <= 6000, got 2000000000000000000"),
+])
+def test_oversized_inputs_are_refused(argv, message):
+    # refused, not computed: without the caps the two smaller sizes run
+    # for minutes and take gigabytes
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pstiefel", *argv.split()],
+                          capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"pstiefel: error: {message}\n"
+
+
+def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError(f"built for {args!r}")
+
+    monkeypatch.setattr(cli, "cp_complement_min_rank", no_work)
+    monkeypatch.setattr(cli, "total_chern", no_work)
+    assert main(["complement", "--n", str(cli.MAX_COMPLEMENT_N + 1),
+                 "--weights", "1,2"]) == 1
+    assert main(["chern", "--weights", "1,2", "--truncation",
+                 str(cli.MAX_CHERN_TRUNCATION + 1)]) == 1
+    assert main(["chern", "--weights", "1,2", "--n",
+                 str(cli.MAX_CHERN_TRUNCATION)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("pstiefel: error: ") == 3
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
