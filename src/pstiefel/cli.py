@@ -11,9 +11,10 @@ identical bytes. One recursive pass renders the report, byte for byte
 what json.dumps(..., indent=2, sort_keys=True) gives for the same report
 with every int written as its decimal string; it appends every piece to
 one list, joined once, and joins int lists in chunks, so a report of
-long int lists peaks at about twice its length. complement --n and the
-chern truncation have named caps (MAX_COMPLEMENT_N and
-MAX_CHERN_TRUNCATION), checked before any work. Exit codes: 0 for any
+long int lists peaks at about twice its length. complement --n, the
+chern truncation and the size of a cohomology presentation have named
+caps (MAX_COMPLEMENT_N, MAX_CHERN_TRUNCATION and MAX_COHOMOLOGY_BYTES),
+checked before any work. Exit codes: 0 for any
 successfully computed answer (including DISCREPANT claim checks and
 absent certificates), 1 for invalid input or a stdout closed before the
 report is written, 2 for an internal invariant violation or a failed
@@ -42,13 +43,19 @@ from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
                        tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
 
-# Caps on the two commands whose work grows quadratically in one flag,
-# each checked before any table or series is built. At the cap, with
+# Caps on the commands whose work grows quadratically or faster in one
+# flag, each checked before any table or series is built. At the cap, with
 # weights 1,2,3 on a 2-vCPU VM: complement's h-table holds Theta(n^2)
 # bits, 0.55 s and 276 MB; chern prints Theta(T^2) digits, 0.84 s for
-# 8.7 MB of JSON.
+# 8.7 MB of JSON. cohomology is capped on the estimated size of its
+# packed Poincare product (StiefelParams.packed_poincare_bytes), which at
+# k ~ n/2 grows about as n^3 and its cost about as n^4: n = 400, k = 200
+# is 3.1 MB, 0.64 s and 6.3 MB of JSON; n = 450, k = 225 (4.6 MB) is
+# refused. For k >= 3 its nilpotency scan builds the same h-table as
+# complement, so it also takes complement's cap on n.
 MAX_COMPLEMENT_N = 50_000
 MAX_CHERN_TRUNCATION = 6_000
+MAX_COHOMOLOGY_BYTES = 4_000_000
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
 
@@ -231,6 +238,16 @@ def _rank_report(rep: RankBoundReport, params: dict):
 def _cmd_cohomology(args):
     ell = _parse_weights(args.weights)
     params = StiefelParams(args.n, args.k, ell)
+    if args.k >= 3 and args.n > MAX_COMPLEMENT_N:
+        raise ValueError(
+            f"cohomology with k >= 3 needs n <= {MAX_COMPLEMENT_N}, "
+            f"got {args.n}")
+    size = params.packed_poincare_bytes
+    if size > MAX_COHOMOLOGY_BYTES:
+        raise ValueError(
+            f"cohomology needs an estimated packed size <= "
+            f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} "
+            f"(n = {args.n}, k = {args.k})")
     if args.prime == 2:
         if args.k != 2:
             raise ValueError(

@@ -561,10 +561,15 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
      "chern needs truncation <= 6000, got 10000000000000000000"),
     ("chern --weights 1,2 --truncation 2000000000000000000",
      "chern needs truncation <= 6000, got 2000000000000000000"),
+    ("cohomology --n 10000000 --k 2 --weights 1,2 --prime 3",
+     "cohomology needs an estimated packed size <= 4000000 bytes, "
+     "got 159999984 (n = 10000000, k = 2)"),
+    ("cohomology --n 50001 --k 3 --weights 1,2,3 --prime 3",
+     "cohomology with k >= 3 needs n <= 50000, got 50001"),
 ])
 def test_oversized_inputs_are_refused(argv, message):
-    # refused, not computed: without the caps the two smaller sizes run
-    # for minutes and take gigabytes
+    # refused, not computed: without the caps the smaller sizes run for
+    # seconds to minutes and take gigabytes
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pstiefel", *argv.split()],
                           capture_output=True, text=True, timeout=5)
@@ -580,15 +585,25 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cp_complement_min_rank", no_work)
     monkeypatch.setattr(cli, "total_chern", no_work)
+    monkeypatch.setattr(cli, "presentation_odd", no_work)
+    monkeypatch.setattr(cli, "presentation_mod2", no_work)
     assert main(["complement", "--n", str(cli.MAX_COMPLEMENT_N + 1),
                  "--weights", "1,2"]) == 1
     assert main(["chern", "--weights", "1,2", "--truncation",
                  str(cli.MAX_CHERN_TRUNCATION + 1)]) == 1
     assert main(["chern", "--weights", "1,2", "--n",
                  str(cli.MAX_CHERN_TRUNCATION)]) == 1
+    for prime in ("2", "3"):
+        assert main(["cohomology", "--n", "10000000", "--k", "2",
+                     "--weights", "1,2", "--prime", prime]) == 1
+    assert main(["cohomology", "--n", str(cli.MAX_COMPLEMENT_N + 1),
+                 "--k", "3", "--weights", "1,2,3", "--prime", "3"]) == 1
+    # an estimated 4,556,250 bytes
+    assert main(["cohomology", "--n", "450", "--k", "225",
+                 "--weights", ",".join(["1"] * 225), "--prime", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("pstiefel: error: ") == 3
+    assert captured.err.count("pstiefel: error: ") == 7
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from pstiefel.cohomology import (CohomologyPresentation, InvariantViolation,
                                  presentation_mod2, presentation_odd,
                                  transgression_coefficient)
 from pstiefel.ring import lucas_binom
-from pstiefel.weights import WeightTuple
+from pstiefel.weights import WeightTuple, homogeneous_sum, homogeneous_sums
 
 
 def params(n, k, ws):
@@ -29,11 +31,31 @@ def poincare_schoolbook(pres):
     return out
 
 
+def width_cases(*bits):
+    """(order, degrees) with total rank just below and at 2^b, each b."""
+    return [case for b in bits for case in (
+        (3, (1,) * (b - 2)),            # total 3 * 2^(b-2) < 2^b
+        (255, (0,) * (b - 8)),          # total 2^b - 2^(b-8)
+        (1, (0,) * b),                  # one coefficient, 2^b
+        (4, (0,) * (b - 4) + (1, 3)))]  # total 2^b
+
+
 class TestStiefelParams:
     def test_dimension(self):
         assert params(4, 2, (1, 1)).dimension == 11
         assert params(7, 2, (1, 2)).dimension == 23
         assert params(5, 1, (1,)).dimension == 8  # CP^4 as the k=1 case
+
+    def test_packed_poincare_bytes_bounds_the_kernel(self):
+        assert params(400, 200, (1,) * 200).packed_poincare_bytes == 3_120_000
+        assert params(450, 225, (1,) * 225).packed_poincare_bytes == 4_556_250
+        for n in range(1, 25):
+            for k in range(1, n + 1):
+                pr = params(n, k, (1,) * k)
+                pres = presentation_odd(pr, 3)
+                rank = pres.nilpotency_order << len(pres.exterior_degrees)
+                width = max(1, (rank.bit_length() + 7) // 8)
+                assert (pr.dimension + 1) * width <= pr.packed_poincare_bytes
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -85,6 +107,42 @@ class TestNilpotencyOrder:
                     via_lucas = next(r for r in range(n - k + 1, n + 1)
                                      if lucas_binom(n, r, p) != 0)
                     assert direct == via_lucas
+
+    @pytest.mark.parametrize("n", [200, 213, 226, 250, 263, 277, 289, 300])
+    def test_matches_lucas_digits_for_all_ones_weights(self, n):
+        # h_r(1, ..., 1) of k ones is C(r + k - 1, r); n = 250, k = 125
+        # at p = 5 scans all 125 steps of the window to r = 250
+        for k in (3, n // 3, n // 2, n // 2 + 1):
+            pr = params(n, k, (1,) * k)
+            for p in (3, 5, 7):
+                want = next(r for r in range(n - k + 1, n + 1)
+                            if lucas_binom(r + k - 1, r, p) != 0)
+                assert nilpotency_order(pr, p) == want
+
+    def test_long_scan_builds_one_table(self, monkeypatch):
+        # one table up to the window's first index, then one degree per
+        # step; rebuilding the table for each step took 125 of them
+        calls = []
+
+        def counted(ell, r):
+            calls.append(r)
+            return homogeneous_sum(ell, r)
+
+        monkeypatch.setattr(cohomology, "homogeneous_sum", counted)
+        assert nilpotency_order(params(250, 125, (1,) * 125), 5) == 250
+        assert calls == [126]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ws=st.lists(st.integers(-9, 9), min_size=3, max_size=6),
+           extra=st.integers(0, 30), p=st.sampled_from((2, 3, 5, 7, 11)))
+    def test_matches_the_table_for_any_weights(self, ws, extra, p):
+        if math.gcd(*ws) != 1:
+            ws[0] = 1
+        n, k = len(ws) + extra, len(ws)
+        pr = params(n, k, ws)
+        hs = homogeneous_sums(pr.ell, n)
+        want = next(r for r in range(n - k + 1, n + 1) if hs[r] % p)
+        assert nilpotency_order(pr, p) == want
 
     def test_no_transgression_raises(self, monkeypatch):
         # unreachable for genuine weights; force it to check the guard
@@ -169,9 +227,11 @@ class TestPackedPoincareKernel:
 
     A factor of degree 0 doubles every coefficient, so (order 1, b zero
     degrees) has the single coefficient 2^b, equal to the total rank:
-    the field width is exactly tight there. Totals just below and at
-    2^8, 2^16, 2^32 and 2^64 hit every field width, 1, 2, 4 and 8 bytes
-    and the byte-slice path above 8.
+    the field width is exactly tight there. A total just below 2^b takes
+    b / 8 bytes and one at 2^b one byte more, so the cases below reach
+    field widths 1 to 6, 8 to 10, 12, 13, 16 to 18, 20, 21, 24 and 25
+    bytes, and the lane edges at 2^64, 2^128 and 2^192, where a field
+    takes one more 64-bit lane.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -184,18 +244,22 @@ class TestPackedPoincareKernel:
     def test_order_one_without_generators(self):
         assert poincare_polynomial(CohomologyPresentation(3, 1, ())) == [1]
 
-    @pytest.mark.parametrize("order,degrees", [
-        case for b in (8, 16, 32, 64) for case in (
-            (3, (1,) * (b - 2)),            # total 3 * 2^(b-2) < 2^b
-            (255, (0,) * (b - 8)),          # total 2^b - 2^(b-8)
-            (1, (0,) * b),                  # one coefficient, 2^b
-            (4, (0,) * (b - 4) + (1, 3)))   # total 2^b
-    ] + [(2 ** 16 - 1, ())])
+    @pytest.mark.parametrize(
+        "order,degrees",
+        width_cases(8, 16, 32, 64) + [(2 ** 16 - 1, ())]
+        + width_cases(24, 40, 72, 96, 128, 136, 160, 192))
     def test_field_width_boundaries(self, order, degrees):
         pres = CohomologyPresentation(3, order, degrees)
         got = poincare_polynomial(pres)
         assert got == poincare_schoolbook(pres)
         assert sum(got) == order * 2 ** len(degrees)
+
+    @settings(max_examples=100, deadline=None)
+    @given(order=st.integers(0, 40), zeros=st.integers(0, 200),
+           degrees=st.lists(st.integers(1, 15), max_size=6))
+    def test_many_zero_degree_factors(self, order, zeros, degrees):
+        pres = CohomologyPresentation(3, order, (0,) * zeros + tuple(degrees))
+        assert poincare_polynomial(pres) == poincare_schoolbook(pres)
 
 
 class TestInvariantChecks:
