@@ -10,7 +10,7 @@ from .cohomology import (CohomologyPresentation, InvariantViolation,
                          PresentationCheck, StiefelParams,
                          check_presentation_invariants, nilpotency_order,
                          poincare_polynomial, presentation_mod2,
-                         presentation_odd, transgression_coefficient)
+                         presentation_odd)
 from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, ClaimCheck,
                        ClaimInstance, CriterionResult, ImmersionCertificate,
                        LensParams, RankBoundReport, SpanCertificate,
@@ -67,5 +67,4 @@ __all__ = [
     "span_certificate",
     "tangent_pontrjagin",
     "total_chern",
-    "transgression_coefficient",
 ]

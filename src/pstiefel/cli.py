@@ -14,11 +14,12 @@ one list, joined once, and joins int lists in chunks, so a report of
 long int lists peaks at about twice its length. complement --n, the
 chern truncation and the size of a cohomology presentation have named
 caps (MAX_COMPLEMENT_N, MAX_CHERN_TRUNCATION and MAX_COHOMOLOGY_BYTES),
-checked before any work. Exit codes: 0 for any
-successfully computed answer (including DISCREPANT claim checks and
-absent certificates), 1 for invalid input or a stdout closed before the
-report is written, 2 for an internal invariant violation or a failed
-verification suite.
+and the homogeneous sums behind complement, chern, lens and cohomology
+with k >= 3 a cap on their estimated cost, all checked before any work.
+Exit codes: 0 for any successfully computed answer (including DISCREPANT
+claim checks and absent certificates), 1 for invalid input or a stdout
+closed before the report is written, 2 for an internal invariant
+violation or a failed verification suite.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
+from math import lgamma, log, log2
 
 from . import verify as verify_mod
 from .cohomology import (CohomologyPresentation, InvariantViolation,
                          StiefelParams, check_presentation_invariants,
                          presentation_mod2, presentation_odd)
-from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
-                       RankBoundReport, SpanCertificate, best_immersion_bound,
-                       best_span_bound, check_immersion_theorem,
-                       check_span_theorem, cp_complement_min_rank,
-                       immersion_certificate, lens_rank_bound,
-                       normal_pontrjagin, span_certificate,
+from .geometry import (CERTIFICATE_BASIS, MAX_LENS_D, NOT_APPLICABLE,
+                       LensParams, RankBoundReport, SpanCertificate,
+                       best_immersion_bound, best_span_bound,
+                       check_immersion_theorem, check_span_theorem,
+                       cp_complement_min_rank, immersion_certificate,
+                       lens_rank_bound, normal_pontrjagin, span_certificate,
                        tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
 
@@ -56,6 +57,49 @@ from .weights import WeightTuple, complement_chern, total_chern
 MAX_COMPLEMENT_N = 50_000
 MAX_CHERN_TRUNCATION = 6_000
 MAX_COHOMOLOGY_BYTES = 4_000_000
+
+# The caps above bound one flag; the homogeneous sums h_r behind complement,
+# chern, lens and cohomology with k >= 3 also grow with the weights. For k
+# weights of absolute value at most L, |h_r| <= C(r + k - 1, k - 1) L^r,
+# the number of monomials times the largest one, which bounds the bits B
+# of every sum up to h_r. A command that builds E such sums (the table
+# h_0..h_r, or lens's one closed form) does about k E B bit operations of
+# arithmetic, and E B^2 to print them, decimal conversion being quadratic.
+# A request is refused before any work when either estimate is above its
+# value at the flag's cap with the weights the cap was measured at (1,2,3;
+# 1,2 for lens), so every size accepted at those weights stays accepted.
+# Without the second estimate, chern with weights 1,10^18 took 7.2 s at
+# truncation 1190 (0.8 s at its cap).
+CAP_WEIGHTS = (1, 2, 3)
+LENS_CAP_WEIGHTS = (1, 2)
+
+
+def _sum_costs(k: int, top: int, r: int, table: bool):
+    """(B, k E B, E B^2) for h_r of k weights of absolute value at most
+    top: E = r + 1 sums for a table, else 1."""
+    bits = ((lgamma(r + k) - lgamma(r + 1) - lgamma(k)) / log(2)
+            + r * log2(top))
+    entries = r + 1 if table else 1
+    return bits, k * entries * bits, entries * bits * bits
+
+
+def _require_small_sums(command: str, ell: WeightTuple, r: int, cap: int,
+                        cap_weights: tuple[int, ...], table: bool = True
+                        ) -> None:
+    """ValueError when building h_r(ell), with the table h_0..h_r unless
+    table is False, is estimated to cost more than for h_cap of
+    cap_weights. A negative r is left to the command's own check."""
+    k, top = len(ell), max(map(abs, ell))
+    bits, work, printing = _sum_costs(k, top, max(r, 0), table)
+    cap_bits, cap_work, cap_printing = _sum_costs(
+        len(cap_weights), max(cap_weights), cap, table)
+    if work > cap_work or printing > cap_printing:
+        raise ValueError(
+            f"{command}: h_{r} of {k} weights up to {top} in absolute value "
+            f"(an estimated {bits:.0f} bits) costs more than the cap allows, "
+            f"the cost of h_{cap} of weights "
+            f"{','.join(map(str, cap_weights))} ({cap_bits:.0f} bits)")
+
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
 
@@ -248,6 +292,10 @@ def _cmd_cohomology(args):
             f"cohomology needs an estimated packed size <= "
             f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} "
             f"(n = {args.n}, k = {args.k})")
+    if args.k >= 3:
+        # the nilpotency scan's h-table runs up to n - k + 1
+        _require_small_sums("cohomology", ell, args.n - args.k + 1,
+                            MAX_COMPLEMENT_N, CAP_WEIGHTS)
     if args.prime == 2:
         if args.k != 2:
             raise ValueError(
@@ -304,6 +352,8 @@ def _cmd_chern(args):
     if T > MAX_CHERN_TRUNCATION:
         raise ValueError(
             f"chern needs truncation <= {MAX_CHERN_TRUNCATION}, got {T}")
+    _require_small_sums("chern", ell, T - 1, MAX_CHERN_TRUNCATION - 1,
+                        CAP_WEIGHTS)
     total = total_chern(ell, T)
     comp = complement_chern(ell, T)
     return [f"total:      {total!r}", f"complement: {comp!r}"], {
@@ -388,6 +438,8 @@ def _cmd_complement(args):
     if args.n > MAX_COMPLEMENT_N:
         raise ValueError(
             f"complement needs n <= {MAX_COMPLEMENT_N}, got {args.n}")
+    _require_small_sums("complement", ell, args.n, MAX_COMPLEMENT_N,
+                        CAP_WEIGHTS)
     return _rank_report(cp_complement_min_rank(args.n, ell),
                         {"n": args.n, "weights": list(ell.weights)})
 
@@ -397,9 +449,12 @@ def _cmd_lens(args):
     if len(ell) != 2:
         raise ValueError(
             f"lens spaces take exactly two weights, got {list(ell.weights)}")
+    lens = LensParams(args.d, args.m, *ell)
+    # h_d comes from the two-weight closed form, not a table
+    _require_small_sums("lens", ell, args.d, MAX_LENS_D, LENS_CAP_WEIGHTS,
+                        table=False)
     params = {"d": args.d, "m": args.m, "weights": list(ell.weights)}
-    return _rank_report(lens_rank_bound(LensParams(args.d, args.m, *ell)),
-                        params)
+    return _rank_report(lens_rank_bound(lens), params)
 
 
 def _cmd_check_claims(args):
@@ -414,7 +469,7 @@ def _cmd_check_claims(args):
             diagnostics.append(
                 f"{check.kind} claim vacuous: no qualifying prime")
         for inst in check.instances:
-            entry = {**asdict(inst), "kind": check.kind,
+            entry = {**inst._asdict(), "kind": check.kind,
                      "hypotheses": dict(inst.hypotheses)}
             if check.kind == "immersion" and inst.claimed is not None:
                 entry["certified"] = inst.claimed - 1
@@ -439,7 +494,7 @@ def _cmd_verify(args):
         status = "ok" if r.passed else f"FAIL ({r.failures[0]})"
         lines.append(f"{r.name}: {r.checked} checks, {status}")
     return lines, {"params": {"quick": args.quick},
-                   "result": {"suites": [asdict(r) for r in results],
+                   "result": {"suites": [r._asdict() for r in results],
                               "passed": all(r.passed for r in results)}}
 
 

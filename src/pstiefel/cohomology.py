@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import lshift, mod, mul, or_
 
@@ -33,22 +33,20 @@ class InvariantViolation(RuntimeError):
     """A condition the theory guarantees failed in a computation."""
 
 
-@dataclass(frozen=True)
-class StiefelParams:
+class StiefelParams(namedtuple("StiefelParams", "n k ell")):
     """A circle quotient instance: frame count k, ambient C^n, weights."""
 
-    n: int
-    k: int
-    ell: WeightTuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if len(self.ell) != self.k:
+    def __new__(cls, n: int, k: int, ell: WeightTuple):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        if len(ell) != k:
             raise ValueError(
-                f"weight count {len(self.ell)} does not match k={self.k}")
+                f"weight count {len(ell)} does not match k={k}")
+        return tuple.__new__(cls, (n, k, ell))
 
     @property
     def dimension(self) -> int:
@@ -62,21 +60,19 @@ class StiefelParams:
         return (self.dimension + 1) * ((self.n.bit_length() + self.k + 6) // 8)
 
 
-@dataclass(frozen=True)
-class CohomologyPresentation:
+class CohomologyPresentation(namedtuple(
+        "CohomologyPresentation",
+        "prime nilpotency_order exterior_degrees mod2_square_relations",
+        defaults=(False,))):
     """Z/p[x]/(x^order) tensor an algebra on odd-degree generators.
 
     The degree-2 polynomial class is truncated at nilpotency_order; the
-    odd generators are exterior for odd p. mod2_square_relations marks
-    the p = 2 shape, where the odd generator's square is imposed as a
-    polynomial relation instead.
+    odd generators (a tuple of degrees) are exterior for odd p.
+    mod2_square_relations marks the p = 2 shape, where the odd
+    generator's square is imposed as a polynomial relation instead.
     """
 
-    prime: int
-    nilpotency_order: int
-    exterior_degrees: tuple[int, ...]
-    mod2_square_relations: bool = False
-
+    __slots__ = ()
     generator_degree = 2  # topological degree of the polynomial class
 
     def describe(self) -> str:
@@ -91,38 +87,38 @@ class CohomologyPresentation:
         return f"{poly} (x) Lambda({gens})"
 
 
-@dataclass(frozen=True)
-class PresentationCheck:
-    """Outcome of the dimension/rank/palindromicity invariants."""
+class PresentationCheck(namedtuple(
+        "PresentationCheck", "top_degree expected_top_degree total_rank "
+        "expected_rank palindromic poincare")):
+    """Outcome of the dimension/rank/palindromicity invariants. poincare,
+    the coefficients checked, is kept out of the repr (so out of failure
+    messages) and out of equality and hash."""
 
-    top_degree: int
-    expected_top_degree: int
-    total_rank: int
-    expected_rank: int
-    palindromic: bool
-    # the coefficients checked, kept out of failure messages
-    poincare: list[int] = field(repr=False, compare=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return ("PresentationCheck(top_degree={!r}, expected_top_degree={!r}, "
+                "total_rank={!r}, expected_rank={!r}, palindromic={!r})"
+                .format(*self[:5]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:5] != other[:5]
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     @property
     def passed(self) -> bool:
         return (self.top_degree == self.expected_top_degree
                 and self.total_rank == self.expected_rank
                 and self.palindromic)
-
-
-def transgression_coefficient(params: StiefelParams, j: int, p: int) -> int:
-    """Coefficient of x^j hit by the degree-(2j-1) sphere generator.
-
-    Equals -(-1)^j h_j(weights) mod p, in [0, p); defined for
-    n-k < j <= n.
-    """
-    require_prime(p)
-    if not params.n - params.k < j <= params.n:
-        raise ValueError(
-            f"transgression index {j} outside "
-            f"({params.n - params.k}, {params.n}]")
-    sign = 1 if j % 2 else -1
-    return sign * homogeneous_sum(params.ell, j) % p
 
 
 def nilpotency_order(params: StiefelParams, p: int) -> int:

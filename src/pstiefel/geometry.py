@@ -36,7 +36,7 @@ or homogeneous sums as the obstruction witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
 from .ring import p_adic_valuation, primes_upto
@@ -84,24 +84,23 @@ def normal_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
     return _pontrjagin(n, ell, modulus, truncation, -1)
 
 
-@dataclass(frozen=True)
-class SpanCertificate:
+class SpanCertificate(namedtuple("SpanCertificate",
+                                 "prime index witness span_bound")):
     """Witness that span <= span_bound: p_index(tau) = witness * x^{2*index}."""
 
-    prime: int
-    index: int
-    witness: int
-    span_bound: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.witness:
+    def __new__(cls, prime: int, index: int, witness: int, span_bound: int):
+        if not witness:
             raise InvariantViolation("span certificate with zero witness")
-        if self.index < 1:
+        if index < 1:
             raise InvariantViolation("span certificate needs index >= 1")
+        return tuple.__new__(cls, (prime, index, witness, span_bound))
 
 
-@dataclass(frozen=True)
-class ImmersionCertificate:
+class ImmersionCertificate(namedtuple(
+        "ImmersionCertificate",
+        "prime index witness certified_dim claimed_dim")):
     """Witness of non-immersion: p_index(nu) nonzero mod prime.
 
     certified_dim is the largest euclidean dimension the vanishing rule
@@ -109,20 +108,19 @@ class ImmersionCertificate:
     closed-form assertion recorded for comparison.
     """
 
-    prime: int
-    index: int
-    witness: int
-    certified_dim: int
-    claimed_dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.witness:
+    def __new__(cls, prime: int, index: int, witness: int,
+                certified_dim: int, claimed_dim: int):
+        if not witness:
             raise InvariantViolation("immersion certificate with zero witness")
-        if self.index < 1:
+        if index < 1:
             raise InvariantViolation("immersion certificate needs index >= 1")
-        if self.certified_dim != self.claimed_dim - 1:
+        if certified_dim != claimed_dim - 1:
             raise InvariantViolation(
                 "certified dimension must be one below the claimed one")
+        return tuple.__new__(
+            cls, (prime, index, witness, certified_dim, claimed_dim))
 
 
 def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
@@ -180,15 +178,11 @@ def immersion_certificate(n: int, ell: WeightTuple, p: int,
 MAX_PRIME_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Sweep:
-    """All certificates for odd primes up to a bound, plus the best."""
+class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
+    """All certificates for odd primes up to a bound (a tuple), plus the
+    best one, or None."""
 
-    n: int
-    ell: WeightTuple
-    prime_bound: int
-    certificates: tuple[SpanCertificate | ImmersionCertificate, ...]
-    best: SpanCertificate | ImmersionCertificate | None
+    __slots__ = ()
 
 
 def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
@@ -229,29 +223,23 @@ def best_immersion_bound(n: int, ell: WeightTuple,
                   normal_pontrjagin, lambda c: (-c.certified_dim, c.prime))
 
 
-@dataclass(frozen=True)
-class ClaimInstance:
-    """One closed-form claim instance checked against direct computation."""
+class ClaimInstance(namedtuple(
+        "ClaimInstance", "prime part hypotheses index admissible coefficient "
+        "claimed verdict notes", defaults=((),))):
+    """One closed-form claim instance checked against direct computation.
 
-    prime: int
-    part: int
-    hypotheses: tuple[tuple[str, bool], ...]
-    index: int | None
-    admissible: bool | None
-    coefficient: int | None
-    claimed: int | None
-    verdict: str
-    notes: tuple[str, ...] = ()
+    hypotheses is a tuple of (name, holds) pairs and notes a tuple of
+    strings; index, admissible, coefficient and claimed are None when a
+    hypothesis fails."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
-    """All instances of one closed-form claim for a given quotient."""
+class ClaimCheck(namedtuple("ClaimCheck", "kind n ell instances")):
+    """All instances of one closed-form claim for a given quotient: kind
+    "span" or "immersion", and a tuple of ClaimInstance."""
 
-    kind: str  # "span" or "immersion"
-    n: int
-    ell: WeightTuple
-    instances: tuple[ClaimInstance, ...]
+    __slots__ = ()
 
     @property
     def vacuous(self) -> bool:
@@ -377,24 +365,24 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     return ClaimCheck("immersion", n, ell, tuple(instances))
 
 
-@dataclass(frozen=True)
-class RankBoundReport:
-    """Lower bound (with witness) and achievable rank of a complement."""
+class RankBoundReport(namedtuple(
+        "RankBoundReport", "space lower_bound achievable reason_kind "
+        "reason_index reason_value notes criterion",
+        defaults=(None, None, (), None))):
+    """Lower bound (with witness) and achievable rank of a complement.
 
-    space: str
-    lower_bound: int
-    achievable: int
-    reason_kind: str  # "chern-nonzero", "homogeneous-sum-mod-m" or "none"
-    reason_index: int | None = None
-    reason_value: int | None = None
-    notes: tuple[str, ...] = ()
-    criterion: CriterionResult | None = None  # lens spaces only
+    reason_kind is "chern-nonzero", "homogeneous-sum-mod-m" or "none";
+    criterion, a CriterionResult, is given for lens spaces only."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lower_bound > self.achievable:
             raise InvariantViolation(
                 f"lower bound {self.lower_bound} exceeds achievable "
                 f"rank {self.achievable}")
+        return self
 
 
 def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
@@ -423,35 +411,36 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
         reason_index=lower, reason_value=sign * hs[lower], notes=notes)
 
 
-@dataclass(frozen=True)
-class LensParams:
+# Largest join dimension d of a lens space: h_d is a (d+1)-th power, and
+# printing its decimal digits takes about 3 s at the cap with weights 1,2.
+MAX_LENS_D = 10 ** 6
+
+
+class LensParams(namedtuple("LensParams", "d m l1 l2")):
     """A lens space quotient instance: join dimension d, order m, weights."""
 
-    d: int
-    m: int
-    l1: int
-    l2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
-        if self.d > 10 ** 6:  # h_d is a (d+1)-th power: ~3 s at the cap
-            raise ValueError(f"need d <= {10 ** 6}, got {self.d}")
-        if self.m < 2:
-            raise ValueError(f"need m >= 2, got {self.m}")
-        if math.gcd(self.l1, self.l2) != 1:
-            raise ValueError(
-                f"weights ({self.l1}, {self.l2}) must be coprime")
+    def __new__(cls, d: int, m: int, l1: int, l2: int):
+        if d < 1:
+            raise ValueError(f"need d >= 1, got {d}")
+        if d > MAX_LENS_D:
+            raise ValueError(f"need d <= {MAX_LENS_D}, got {d}")
+        if m < 2:
+            raise ValueError(f"need m >= 2, got {m}")
+        if math.gcd(l1, l2) != 1:
+            raise ValueError(f"weights ({l1}, {l2}) must be coprime")
+        return tuple.__new__(cls, (d, m, l1, l2))
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    """Outcome of the mod-2 secondary criterion with hypothesis breakdown."""
+class CriterionResult(namedtuple(
+        "CriterionResult", "satisfied hypotheses value diagnostic",
+        defaults=(None,))):
+    """Outcome of the mod-2 secondary criterion with hypothesis breakdown:
+    hypotheses is a tuple of (name, holds) pairs, diagnostic a string or
+    None."""
 
-    satisfied: bool
-    hypotheses: tuple[tuple[str, bool], ...]
-    value: int
-    diagnostic: str | None = None
+    __slots__ = ()
 
 
 def lens_sq2_criterion(params: LensParams) -> CriterionResult:

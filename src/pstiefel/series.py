@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 
-# slots by hand: on 3.11, slots=True gives TypeError for non-field setattr
-@dataclass(frozen=True, init=False)
 class TruncatedSeries:
+    """Immutable value: equality and hash over (coeffs, modulus)."""
+
     __slots__ = ("coeffs", "modulus")
-    coeffs: tuple[int, ...]
-    modulus: int
 
     def __init__(self, coeffs, truncation: int, modulus: int = 0):
         if truncation < 1:
@@ -40,6 +37,20 @@ class TruncatedSeries:
             coeffs = [c % modulus for c in coeffs]
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.modulus) == (other.coeffs, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.modulus))
 
     @property
     def truncation(self) -> int:
@@ -143,15 +154,6 @@ class TruncatedSeries:
                 acc += (e1 * k - i) * v * w[i - k]
             w[i] = acc // (i * c)
         return TruncatedSeries([0] * (s * e) + [scale * x for x in w], T, m)
-
-    def reduce_mod(self, m: int) -> "TruncatedSeries":
-        """Coefficientwise reduction of an integer series to Z/m."""
-        if self.modulus != 0:
-            raise ValueError(
-                f"series already reduced (modulus {self.modulus})")
-        if m < 2:
-            raise ValueError(f"reduction modulus must be >= 2, got {m}")
-        return TruncatedSeries(self.coeffs, self.truncation, m)
 
     def __repr__(self) -> str:
         terms = []

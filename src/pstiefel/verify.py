@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import cohomology, geometry, weights
 from .ring import lucas_binom
@@ -28,11 +28,11 @@ from .weights import WeightTuple
 SEED = 20240817
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    checked: int
-    failures: list[str]
+class SuiteResult(namedtuple("SuiteResult", "name checked failures")):
+    """A suite's name, its number of checks and a list of its first
+    failure messages (at most three)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -19,9 +19,8 @@ inverse, whose x^r coefficient is (-1)^r h_r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
 
 from .ring import gcd_all
 from .series import TruncatedSeries
@@ -30,11 +29,11 @@ BRUTEFORCE_MAX_R = 12
 BRUTEFORCE_MAX_K = 6
 
 
-@dataclass(frozen=True)
 class WeightTuple:
-    """A nonempty primitive tuple of integer circle weights."""
+    """A nonempty primitive tuple of integer circle weights; an immutable
+    value with equality and hash over its weights."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
     def __init__(self, weights: Iterable[int]):
         ws = tuple(int(w) for w in weights)
@@ -44,6 +43,23 @@ class WeightTuple:
         if g != 1:
             raise ValueError(f"weights {ws} not primitive: gcd is {g}")
         object.__setattr__(self, "weights", ws)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash(self.weights)
+
+    def __repr__(self) -> str:
+        return f"WeightTuple(weights={self.weights!r})"
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -566,6 +566,35 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
      "got 159999984 (n = 10000000, k = 2)"),
     ("cohomology --n 50001 --k 3 --weights 1,2,3 --prime 3",
      "cohomology with k >= 3 needs n <= 50000, got 50001"),
+    # under the flag caps, but too large for the weights given
+    ("complement --n 8000 --weights 1,1000000000000000000",
+     "complement: h_8000 of 2 weights up to 1000000000000000000 in absolute "
+     "value (an estimated 478371 bits) costs more than the cap allows, the "
+     "cost of h_50000 of weights 1,2,3 (79278 bits)"),
+    ("complement --n 50000 --weights 1,2,3,4,5,6,7,8,9,10",
+     "complement: h_50000 of 10 weights up to 10 in absolute value (an "
+     "estimated 166218 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
+    ("complement --n 50000 --weights=" + ",".join(["1"] * 200),
+     "complement: h_50000 of 200 weights up to 1 in absolute value (an "
+     "estimated 1869 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
+    ("chern --weights 1,1000000000000000000 --truncation 3000 --json",
+     "chern: h_2999 of 2 weights up to 1000000000000000000 in absolute value "
+     "(an estimated 179336 bits) costs more than the cap allows, the cost of "
+     "h_5999 of weights 1,2,3 (9532 bits)"),
+    ("chern --weights 1,2,3,4,5,6,7,8,9,10 --truncation 6000",
+     "chern: h_5999 of 10 weights up to 10 in absolute value (an estimated "
+     "20023 bits) costs more than the cap allows, the cost of h_5999 of "
+     "weights 1,2,3 (9532 bits)"),
+    ("lens --d 100000 --m 3 --weights 1,1000000000000000000 --json",
+     "lens: h_100000 of 2 weights up to 1000000000000000000 in absolute "
+     "value (an estimated 5979487 bits) costs more than the cap allows, the "
+     "cost of h_1000000 of weights 1,2 (1000020 bits)"),
+    ("cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 3",
+     "cohomology: h_49998 of 3 weights up to 1000 in absolute value (an "
+     "estimated 498300 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
 ])
 def test_oversized_inputs_are_refused(argv, message):
     # refused, not computed: without the caps the smaller sizes run for
@@ -587,6 +616,7 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     monkeypatch.setattr(cli, "total_chern", no_work)
     monkeypatch.setattr(cli, "presentation_odd", no_work)
     monkeypatch.setattr(cli, "presentation_mod2", no_work)
+    monkeypatch.setattr(cli, "lens_rank_bound", no_work)
     assert main(["complement", "--n", str(cli.MAX_COMPLEMENT_N + 1),
                  "--weights", "1,2"]) == 1
     assert main(["chern", "--weights", "1,2", "--truncation",
@@ -601,9 +631,33 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     # an estimated 4,556,250 bytes
     assert main(["cohomology", "--n", "450", "--k", "225",
                  "--weights", ",".join(["1"] * 225), "--prime", "3"]) == 1
+    big = "1,1000000000000000000"
+    assert main(["complement", "--n", "8000", "--weights", big]) == 1
+    assert main(["chern", "--weights", big, "--truncation", "3000"]) == 1
+    assert main(["lens", "--d", "100000", "--m", "3", "--weights", big]) == 1
+    assert main(["cohomology", "--n", "50000", "--k", "3",
+                 "--weights", "1,2,1000", "--prime", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("pstiefel: error: ") == 7
+    assert captured.err.count("pstiefel: error: ") == 11
+
+
+@pytest.mark.parametrize("ws", [
+    (1, 2, 3), (3, -2, 1), (-1, -2, -3), (1, 2), (2, 3), (1, 1, 1), (1, -1)])
+def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
+    # checked at the largest r each command accepts; the estimate grows
+    # with r, so every smaller size passes too
+    ell = weights.WeightTuple(ws)
+    cli._require_small_sums("complement", ell, cli.MAX_COMPLEMENT_N,
+                            cli.MAX_COMPLEMENT_N, cli.CAP_WEIGHTS)
+    cli._require_small_sums("chern", ell, cli.MAX_CHERN_TRUNCATION - 1,
+                            cli.MAX_CHERN_TRUNCATION - 1, cli.CAP_WEIGHTS)
+    if len(ws) == 3:
+        cli._require_small_sums("cohomology", ell, cli.MAX_COMPLEMENT_N - 2,
+                                cli.MAX_COMPLEMENT_N, cli.CAP_WEIGHTS)
+    if len(ws) == 2 and max(map(abs, ws)) <= 2:
+        cli._require_small_sums("lens", ell, cli.MAX_LENS_D, cli.MAX_LENS_D,
+                                cli.LENS_CAP_WEIGHTS, table=False)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

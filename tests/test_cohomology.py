@@ -8,8 +8,7 @@ import pstiefel.cohomology as cohomology
 from pstiefel.cohomology import (CohomologyPresentation, InvariantViolation,
                                  StiefelParams, check_presentation_invariants,
                                  nilpotency_order, poincare_polynomial,
-                                 presentation_mod2, presentation_odd,
-                                 transgression_coefficient)
+                                 presentation_mod2, presentation_odd)
 from pstiefel.ring import lucas_binom
 from pstiefel.weights import WeightTuple, homogeneous_sum, homogeneous_sums
 
@@ -64,26 +63,6 @@ class TestStiefelParams:
             params(2, 3, (1, 1, 1))
         with pytest.raises(ValueError, match="does not match k"):
             params(4, 2, (1, 1, 1))
-
-
-class TestTransgression:
-    def test_pinned_values(self):
-        assert transgression_coefficient(params(4, 2, (1, 1)), 3, 5) == 4
-        assert transgression_coefficient(params(2, 2, (1, -1)), 2, 3) == 2
-
-    def test_alternating_pair_kills_odd_indices(self):
-        got = transgression_coefficient(params(8, 2, (1, -1)), 7, 5)
-        assert got == 0
-
-    def test_index_window_enforced(self):
-        with pytest.raises(ValueError, match="outside"):
-            transgression_coefficient(params(4, 2, (1, 1)), 2, 5)
-        with pytest.raises(ValueError, match="outside"):
-            transgression_coefficient(params(4, 2, (1, 1)), 5, 5)
-
-    def test_requires_prime(self):
-        with pytest.raises(ValueError, match="not prime"):
-            transgression_coefficient(params(4, 2, (1, 1)), 3, 9)
 
 
 class TestNilpotencyOrder:
@@ -294,3 +273,7 @@ class TestInvariantChecks:
         chk = check_presentation_invariants(pres, pr)
         assert chk.poincare == poincare_polynomial(pres)
         assert "poincare" not in repr(chk)
+        # and outside equality and hash
+        other = chk._replace(poincare=[])
+        assert chk == other and not chk != other
+        assert hash(chk) == hash(other)

@@ -236,17 +236,6 @@ class TestCoeffAndReduce:
         with pytest.raises(IndexError, match="outside truncation"):
             S((1,), 3).coeff(3)
 
-    def test_reduce_mod(self):
-        assert S((1, 3, 9), 3).reduce_mod(3).is_one()
-        assert S((1, 0, -9), 3).reduce_mod(7).coeffs == (1, 0, 5)
-        assert S((1, 7), 2).reduce_mod(7).is_one()
-
-    def test_reduce_mod_guards(self):
-        with pytest.raises(ValueError, match="already reduced"):
-            S((1,), 2, 5).reduce_mod(3)
-        with pytest.raises(ValueError):
-            S((1,), 2).reduce_mod(1)
-
 
 def test_repr_is_compact():
     assert repr(S((1, 0, -1), 4)) == "(1 + -1*x^2 + O(x^4))"
