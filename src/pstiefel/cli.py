@@ -197,8 +197,16 @@ def _emit(obj, indent: str, put) -> None:
         inner = indent + "  "
         sep, lead = "," + inner, "{" + inner
         for key in sorted(obj):
-            put(lead + _quote(key) + ": ")
-            _emit(obj[key], inner, put)
+            value = obj[key]
+            # an int or str field is one piece; exact types, so a bool
+            # still renders as true or false
+            if value.__class__ is int:
+                put(lead + _quote(key) + ': "' + str(value) + '"')
+            elif value.__class__ is str:
+                put(lead + _quote(key) + ": " + _quote(value))
+            else:
+                put(lead + _quote(key) + ": ")
+                _emit(value, inner, put)
             lead = sep
         put(indent + "}")
     elif isinstance(obj, (list, tuple)):
@@ -277,7 +285,7 @@ def _rank_report(rep: RankBoundReport, params: dict):
 
 
 # Each handler returns (text lines, report fields); main prints one or
-# the other.
+# the other. Handlers whose lines are long build none under --json.
 
 def _cmd_cohomology(args):
     ell = _parse_weights(args.weights)
@@ -356,7 +364,9 @@ def _cmd_chern(args):
                         CAP_WEIGHTS)
     total = total_chern(ell, T)
     comp = complement_chern(ell, T)
-    return [f"total:      {total!r}", f"complement: {comp!r}"], {
+    lines = [] if args.json else [f"total:      {total!r}",
+                                  f"complement: {comp!r}"]
+    return lines, {
         "params": {"weights": list(ell.weights), "truncation": T},
         "result": {"total": _series_payload(total),
                    "complement": _series_payload(comp)}}
@@ -367,7 +377,9 @@ def _cmd_pontrjagin(args):
     T = args.truncation if args.truncation is not None else args.n
     tangent = tangent_pontrjagin(args.n, ell, args.modulus, T)
     normal = normal_pontrjagin(args.n, ell, args.modulus, T)
-    return [f"tangent: {tangent!r}", f"normal:  {normal!r}"], {
+    lines = [] if args.json else [f"tangent: {tangent!r}",
+                                  f"normal:  {normal!r}"]
+    return lines, {
         "params": {"n": args.n, "weights": list(ell.weights),
                    "modulus": args.modulus, "truncation": T},
         "result": {"tangent": _series_payload(tangent),
@@ -421,13 +433,14 @@ def _cmd_certificates(args):
         certs = list(sweep.certificates)
         best = sweep.best
         result = dict(bounds(best), best_prime=best and best.prime)
-        lines = [f"p={c.prime}: {claim(c)} ({letter}={c.index}, "
-                 f"w={c.witness})" for c in certs]
-        if best:
-            lines.append(f"best: {claim(best)} (p={best.prime})")
-        else:
+        if not best:
             diagnostics.append("no certificate found in the prime sweep")
-            lines.append(f"no {kind} certificate found")
+        lines = []
+        if not args.json:
+            lines = [f"p={c.prime}: {claim(c)} ({letter}={c.index}, "
+                     f"w={c.witness})" for c in certs]
+            lines.append(f"best: {claim(best)} (p={best.prime})" if best
+                         else f"no {kind} certificate found")
     return lines, {"params": params, "result": result,
                    "certificates": [_certificate_payload(c) for c in certs],
                    "diagnostics": diagnostics}

@@ -22,10 +22,13 @@ once and reads it for each of its primes. No closed-form shortcut is
 ever used, which is the point: the closed-form claims are checked
 against these computations and the verdict (AGREE or DISCREPANT) is
 reported as data. With F = (1 - l1^2 x^2)(1 - l2^2 x^2) and
-D = 1 - (l2 - l1)^2 x^2 the tangent series is F^n D^{-1} and the normal
-one F^{-n} D. Independent routes to these coefficients live outside the
-engine: the tests' dense repeated-squaring and schoolbook oracles and
-``math.comb`` expansion, and the benchmark's oracle.
+D = 1 - (l2 - l1)^2 x^2 the tangent series is F^n D^{-1}, one power
+divided by D in one triangular solve (D.inv(F^n)), and the normal one
+F^{-n} D, one power times D; a series estimated past MAX_SERIES_N is
+refused before it is built. Independent routes to these coefficients
+live outside the engine: the tests' dense repeated-squaring and
+schoolbook oracles and ``math.comb`` expansion, and the benchmark's
+oracle.
 
 The complement-rank reports answer a related stable question over
 complex projective spaces and lens spaces: how small can a complement
@@ -58,17 +61,60 @@ def _require_two_frames(ell: WeightTuple, n: int | None = None) -> None:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
 
 
+# Cap on the integer Pontrjagin series. With M = max(l1^2, l2^2,
+# (l2 - l1)^2), the coefficient of x^{2j} of either series is at most
+# C(2n + j, j) M^j in absolute value, which bounds the bits B of each of
+# its ceil(T/2) even coefficients. Building the series takes about
+# ceil(T/2) B bit operations and holds as many bits; printing it takes
+# about ceil(T/2) B^2, decimal conversion being quadratic. A series is
+# refused before anything is allocated when either estimate is above its
+# value at n = T = MAX_SERIES_N with SERIES_CAP_WEIGHTS. At that value on
+# a 2-vCPU VM, pontrjagin --json prints both series (7.1 MB) in 0.84 s
+# and 40 MB, and an immersion sweep to 4n takes 0.6 s.
+MAX_SERIES_N = 3200
+SERIES_CAP_WEIGHTS = (1, 8)
+
+
+def _series_costs(n: int, l1: int, l2: int, T: int):
+    """(B, ceil(T/2) B, ceil(T/2) B^2) for the series of n and (l1, l2)
+    truncated at T."""
+    even = max((T + 1) // 2, 1)
+    j = even - 1
+    bits = ((math.lgamma(2 * n + j + 1) - math.lgamma(j + 1)
+             - math.lgamma(2 * n + 1)) / math.log(2)
+            + j * math.log2(max(l1 * l1, l2 * l2, (l2 - l1) ** 2)) + 1)
+    return bits, even * bits, even * bits * bits
+
+
+def _require_small_series(n: int, ell: WeightTuple, T: int) -> None:
+    """ValueError when the series of n and ell truncated at T is estimated
+    to cost more than at the cap (MAX_SERIES_N, SERIES_CAP_WEIGHTS)."""
+    l1, l2 = ell.weights
+    bits, work, printing = _series_costs(n, l1, l2, T)
+    cap_bits, cap_work, cap_printing = _series_costs(
+        MAX_SERIES_N, *SERIES_CAP_WEIGHTS, MAX_SERIES_N)
+    if work > cap_work or printing > cap_printing:
+        raise ValueError(
+            f"the Pontrjagin series of n = {n} and weights {l1},{l2} at "
+            f"truncation {T} (an estimated {bits:.0f} bits a coefficient) "
+            f"costs more than the cap allows, the cost at n = truncation = "
+            f"{MAX_SERIES_N} with weights "
+            f"{','.join(map(str, SERIES_CAP_WEIGHTS))} ({cap_bits:.0f} bits)")
+
+
 def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
                 truncation: int | None, sign: int) -> TruncatedSeries:
-    """The tangent series for sign 1, its inverse (the normal one) for -1."""
+    """The tangent series for sign 1, its inverse (the normal one) for -1:
+    F^n divided by D in one triangular solve, or F^-n times D."""
     _require_two_frames(ell, n)
     T = n if truncation is None else truncation
+    _require_small_series(n, ell, T)
     l1, l2 = ell.weights
     # (1 - l1^2 x^2)(1 - l2^2 x^2), so one power serves both frames
     frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
                              T, modulus)
     diff = TruncatedSeries([1, 0, -(l2 - l1) ** 2], T, modulus)
-    return (frames.int_pow(n).mul(diff.inv()) if sign > 0
+    return (diff.inv(frames.int_pow(n)) if sign > 0
             else frames.int_pow(-n).mul(diff))
 
 
@@ -128,9 +174,13 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
     coefficient in the integer series pontrjagin(n, ell) is nonzero mod
     p; None when every admissible coefficient vanishes. series, when
     given, is that integer series truncated at the nilpotency order or
-    beyond; otherwise it is built at exactly that truncation. A non-prime
-    p is refused by nilpotency_order, and p = 2 right after it."""
+    beyond; otherwise it is built at exactly that truncation, n - 1 or n,
+    so the series cap is checked at n - 1 first: the order reads h_{n-1}
+    and h_n, which grow with n as the series does. A non-prime p is
+    refused by nilpotency_order, and p = 2 right after it."""
     _require_two_frames(ell, n)
+    if series is None:
+        _require_small_series(n, ell, n - 1)
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
     if p == 2:
         raise ValueError(
@@ -144,8 +194,9 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
         return None
     if series is None:
         series = pontrjagin(n, ell, truncation=order)
+    coeffs = series.coeffs
     for i in range((order - 1) // 2, 0, -1):
-        w = series.coeff(2 * i) % p
+        w = coeffs[2 * i] % p
         if w:
             return make(i, w)
     return None
@@ -412,7 +463,8 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
 
 
 # Largest join dimension d of a lens space: h_d is a (d+1)-th power, and
-# printing its decimal digits takes about 3 s at the cap with weights 1,2.
+# printing its decimal digits (the criterion's value, under --json) takes
+# about 1.4 s at the cap with weights 1,2.
 MAX_LENS_D = 10 ** 6
 
 
@@ -452,7 +504,8 @@ def lens_sq2_criterion(params: LensParams) -> CriterionResult:
     0 <= i <= d is odd: coprime weights are not both even, so with one
     even weight exactly one term is odd, and with both odd all d + 1
     terms are. Then 'm even' and 'm divides h_d' cannot hold together;
-    the diagnostic records that whenever d is even.
+    the diagnostic records that whenever d is even. It names h_d's
+    parity, not its digits, which only value carries.
     """
     d, m = params.d, params.m
     value = homogeneous_sum(WeightTuple((params.l1, params.l2)), d)
@@ -469,7 +522,7 @@ def lens_sq2_criterion(params: LensParams) -> CriterionResult:
     diagnostic = None
     if d % 2 == 0:
         diagnostic = (
-            f"h_{d}({params.l1},{params.l2}) = {value} is odd for coprime "
+            f"h_{d}({params.l1},{params.l2}) is odd for coprime "
             "weights and even d, so 'm even' and 'm divides h_d' cannot "
             "hold together")
     return CriterionResult(satisfied, hyps, value, diagnostic)

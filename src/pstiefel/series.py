@@ -7,9 +7,10 @@ applications x sits in topological degree 2, so index i means degree 2i
 there, but this module knows nothing about degrees.
 
 Values are immutable; every operation returns a fresh series and loops
-over nonzero terms only: inversion by the triangular recursion, powers
-by Knuth's power recurrence (TAOCP vol. 2, 4.7) on the integer lift.
-Inverses and negative powers need a unit constant term (+-1 over Z).
+over nonzero terms only: division (and inversion) by the triangular
+solve, powers by Knuth's power recurrence (TAOCP vol. 2, 4.7) on the
+integer lift. Divisors and negative powers need a unit constant term
+(+-1 over Z).
 """
 
 from __future__ import annotations
@@ -107,20 +108,29 @@ class TruncatedSeries:
                              f"shares a factor with the modulus")
         return pow(c0, -1, m) if m else c0
 
-    def inv(self) -> "TruncatedSeries":
-        """Multiplicative inverse by the triangular recursion over the
-        nonzero terms, T * terms products; needs a unit constant term."""
+    def inv(self, numerator: "TruncatedSeries | None" = None
+            ) -> "TruncatedSeries":
+        """numerator / self by the triangular solve b_i = b_0 (u_i -
+        sum_{j >= 1} a_j b_{i-j}) over self's nonzero terms a_j, with b_0
+        the inverse of a_0 and u the numerator: T * terms products and no
+        series product. Without a numerator, u = 1 and this is the
+        multiplicative inverse. Needs a unit constant term."""
         T, m = self.truncation, self.modulus
         b0 = self._unit_inverse()
+        if numerator is None:
+            u = [1] + [0] * (T - 1)
+        else:
+            self._check_compatible(numerator)
+            u = numerator.coeffs
         terms = self._terms()[1:]
-        b = [b0] + [0] * (T - 1)
-        for i in range(1, T):
-            s = 0
+        b = [0] * T
+        for i in range(T):
+            s = u[i]
             for j, aj in terms:
                 if j > i:
                     break
-                s += aj * b[i - j]
-            b[i] = -b0 * s % m if m else -b0 * s
+                s -= aj * b[i - j]
+            b[i] = b0 * s % m if m else b0 * s
         return TruncatedSeries(b, T, m)
 
     def int_pow(self, e: int) -> "TruncatedSeries":

@@ -329,8 +329,9 @@ class TestLongAnswers:
         out = capsys.readouterr().out
         if flags:
             assert json.loads(out)["result"]["criterion"]["value"] == want
-        else:
-            assert want in out
+        # the note names h_d's parity, not its digits
+        assert "h_20000(1,2) is odd" in out
+        assert (want in out) == bool(flags)
 
     def test_weights_past_the_limit_are_read(self, capsys):
         w = 7 * 10 ** 5000 + 3  # 5,001 digits
@@ -539,7 +540,11 @@ def test_module_entry_point():
      "MemoryError"),
 ])
 def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
-    proc = subprocess.run([sys.executable, "-m", "pstiefel", *argv.split()],
+    # with the series cap lifted, these sizes reach the interpreter's own
+    # size errors; with it, they are refused first (see below)
+    lifted = ("import sys, pstiefel.geometry as g; g.MAX_SERIES_N = 10 ** 30; "
+              "from pstiefel.cli import main; sys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", lifted, *argv.split()],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -595,6 +600,29 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
      "cohomology: h_49998 of 3 weights up to 1000 in absolute value (an "
      "estimated 498300 bits) costs more than the cap allows, the cost of "
      "h_50000 of weights 1,2,3 (79278 bits)"),
+    # the integer Pontrjagin series, capped on its estimated size whatever
+    # command builds it
+    ("check-claims --n 999983 --weights 1,2",
+     "the Pontrjagin series of n = 999983 and weights 1,2 at truncation "
+     "999983 (an estimated 2804761 bits a coefficient) costs more than the "
+     "cap allows, the cost at n = truncation = 3200 with weights 1,8 "
+     "(15362 bits)"),
+    ("pontrjagin --n 2 --weights 1,8 --truncation 10000000",
+     "the Pontrjagin series of n = 2 and weights 1,8 at truncation 10000000 "
+     "(an estimated 30000079 bits a coefficient) costs more than the cap "
+     "allows, the cost at n = truncation = 3200 with weights 1,8 "
+     "(15362 bits)"),
+    ("span --n 3201 --weights 1,8 --prime-bound 5",
+     "the Pontrjagin series of n = 3201 and weights 1,8 at truncation 3201 "
+     "(an estimated 15371 bits a coefficient) costs more than the cap "
+     "allows, the cost at n = truncation = 3200 with weights 1,8 "
+     "(15362 bits)"),
+    # before the nilpotency order, whose h_{n-1} has about n bits
+    ("span --n 1000000000000 --weights 1,2 --prime 3",
+     "the Pontrjagin series of n = 1000000000000 and weights 1,2 at "
+     "truncation 999999999999 (an estimated 2804820237194 bits a "
+     "coefficient) costs more than the cap allows, the cost at n = "
+     "truncation = 3200 with weights 1,8 (15362 bits)"),
 ])
 def test_oversized_inputs_are_refused(argv, message):
     # refused, not computed: without the caps the smaller sizes run for
@@ -609,8 +637,15 @@ def test_oversized_inputs_are_refused(argv, message):
 
 
 def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
+    import pstiefel.geometry as geometry
+    from pstiefel.series import TruncatedSeries
+
     def no_work(*args):
         raise AssertionError(f"built for {args!r}")
+
+    monkeypatch.setattr(TruncatedSeries, "int_pow", no_work)
+    monkeypatch.setattr(geometry, "TruncatedSeries", no_work)
+    monkeypatch.setattr(geometry, "nilpotency_order", no_work)
 
     monkeypatch.setattr(cli, "cp_complement_min_rank", no_work)
     monkeypatch.setattr(cli, "total_chern", no_work)
@@ -637,9 +672,15 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     assert main(["lens", "--d", "100000", "--m", "3", "--weights", big]) == 1
     assert main(["cohomology", "--n", "50000", "--k", "3",
                  "--weights", "1,2,1000", "--prime", "3"]) == 1
+    for argv in (["check-claims", "--n", "999983"],
+                 ["pontrjagin", "--n", "2", "--truncation", "10000000"],
+                 ["span", "--n", "3201"], ["immersion", "--n", "3201"],
+                 ["span", "--n", "3201", "--prime", "3"],
+                 ["immersion", "--n", "3201", "--prime", "3"]):
+        assert main(argv + ["--weights", "1,8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("pstiefel: error: ") == 11
+    assert captured.err.count("pstiefel: error: ") == 17
 
 
 @pytest.mark.parametrize("ws", [
@@ -673,3 +714,26 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("ws,n", [((1, 8), 3200), ((1, 8), 1600),
+                                  ((1, 2), 4000), ((1, -1), 4000)])
+def test_series_cap_admits_the_sizes_ci_runs(ws, n):
+    # CI's immersion and span steps, and n = 4000 for small weights; the
+    # estimate grows with n and the truncation, so smaller sizes pass too
+    import pstiefel.geometry as geometry
+    geometry._require_small_series(n, weights.WeightTuple(ws), n)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--weights", "1,2,3", "--truncation", "40"],
+    ["pontrjagin", "--n", "40", "--weights", "1,8", "--modulus", "7"]])
+def test_json_reports_format_no_series_text(capsys, monkeypatch, argv):
+    from pstiefel.series import TruncatedSeries
+
+    def no_text(self):
+        raise AssertionError("text of a series built")
+
+    monkeypatch.setattr(TruncatedSeries, "__repr__", no_text)
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]

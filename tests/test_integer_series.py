@@ -202,8 +202,9 @@ class TestOneBuildPerCall:
 
 
 class TestSeriesKernelCalls:
-    """Each Pontrjagin series is one power of the frame factor times the
-    difference factor or its inverse, and a power makes no product."""
+    """Each Pontrjagin series is one power of the frame factor, divided by
+    the difference factor in one solve (tangent) or multiplied by it
+    (normal), and a power makes no product."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -222,7 +223,7 @@ class TestSeriesKernelCalls:
     def test_one_power_and_one_product(self, calls, kind, inv, n, ws,
                                        modulus):
         KINDS[kind][0](n, WeightTuple(ws), modulus=modulus)
-        assert calls == {"int_pow": 1, "mul": 1, "inv": inv}
+        assert calls == {"int_pow": 1, "mul": 1 - inv, "inv": inv}
 
     @pytest.mark.parametrize("e", [-200, -7, 1, 2, 5, 64, 200])
     def test_a_power_makes_no_product(self, calls, e):
@@ -287,3 +288,11 @@ class TestAgainstBinomialExpansion:
                         got = pontrjagin(n, ell, modulus=p, truncation=T)
                         assert list(got.coeffs) == [c % p for c in want], (
                             n, ws, T, p)
+
+    def test_tangent_series_through_n_60(self):
+        # the tangent's triangular solve at every n <= 60 and pair class
+        for n in range(2, 61):
+            for ws in PAIRS:
+                ell = WeightTuple(ws)
+                assert list(tangent_pontrjagin(n, ell).coeffs) == \
+                    binomial_pontrjagin("span", n, ell, n), (n, ws)

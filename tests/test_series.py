@@ -109,6 +109,16 @@ def test_kernels_match_the_dense_oracles(data, T, m, e):
     assert b.mul(a) == schoolbook_mul(a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), T=st.integers(1, 40), m=st.sampled_from(MODULI))
+def test_division_is_the_product_with_the_inverse(data, T, m):
+    d = data.draw(sparse_series(T, m))
+    u = data.draw(sparse_series(T, m))
+    want = outcome(lambda: schoolbook_mul(u, schoolbook_inv(d)))
+    assert outcome(d.inv, u) == want
+    assert outcome(lambda: u.mul(d.inv())) == want
+
+
 class TestConstruction:
     def test_pads_and_trims_to_truncation(self):
         assert S((1, 2), 4).coeffs == (1, 2, 0, 0)
@@ -180,6 +190,18 @@ class TestInv:
     def test_non_unit_mod_m_rejected(self):
         with pytest.raises(ValueError, match="not invertible mod 6"):
             S((3, 1), 2, 6).inv()
+
+    def test_division(self):
+        # (1 + x)^2 / (1 - x) = 1 + 3x + 4x^2 + 4x^3 + ...
+        assert S((1, -1), 5).inv(S((1, 2, 1), 5)).coeffs == (1, 3, 4, 4, 4)
+        assert S((1, -1), 5, 3).inv(S((1, 2, 1), 5, 3)).coeffs == (
+            1, 0, 1, 1, 1)
+
+    def test_numerator_must_match(self):
+        with pytest.raises(ValueError, match="truncation mismatch"):
+            S((1, -1), 4).inv(S((1,), 5))
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            S((1, -1), 4).inv(S((1,), 4, 7))
 
     def test_unit_mod_m(self):
         a = S((2, 1), 5, 7)
