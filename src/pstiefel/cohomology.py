@@ -128,18 +128,20 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
     closed manifold, so some transgression in the window must survive;
     running past r = n means an internal error, not bad input.
 
-    Two weights read each h_r from homogeneous_sum's closed form. Any
-    other count reads only the first index from homogeneous_sum, one
-    table up to n - k + 1, which settles the usual one-step scan; a
-    longer scan goes on in one pass over the degrees (_later_residues)
-    instead of one table per step, so the 125 steps of n = 250, k = 125
-    all-ones at p = 5 take about 5 ms, where 125 tables took 0.43 s.
+    Two weights read each h_r mod p from homogeneous_sum's closed form,
+    by powers mod p |l1 - l2|, so n of 400 digits costs a few modular
+    powers rather than two integers of n bits. Any other count reads only
+    the first index from homogeneous_sum, one table up to n - k + 1,
+    which settles the usual one-step scan; a longer scan goes on in one
+    pass over the degrees (_later_residues) instead of one table per
+    step, so the 125 steps of n = 250, k = 125 all-ones at p = 5 take
+    about 5 ms, where 125 tables took 0.43 s.
     """
     require_prime(p)
     ell, window = params.ell, range(params.n - params.k + 1, params.n + 1)
     closed_form = len(ell) == 2
     for r in window if closed_form else window[:1]:
-        if homogeneous_sum(ell, r) % p:
+        if homogeneous_sum(ell, r, p):
             return r
     if not closed_form:
         for r, h in zip(window[1:], _later_residues(ell, window, p)):
@@ -191,7 +193,7 @@ def presentation_mod2(n: int, ell: WeightTuple) -> CohomologyPresentation:
             "mod-2 presentations are only available for two-frame quotients")
     if n < 2:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
-    if homogeneous_sum(ell, n - 1) % 2 == 0:
+    if homogeneous_sum(ell, n - 1, 2) == 0:
         return CohomologyPresentation(2, n, (2 * n - 3,), True)
     return CohomologyPresentation(2, n - 1, (2 * n - 1,), True)
 

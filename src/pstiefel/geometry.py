@@ -68,9 +68,10 @@ def _require_two_frames(ell: WeightTuple, n: int | None = None) -> None:
 # ceil(T/2) B bit operations and holds as many bits; printing it takes
 # about ceil(T/2) B^2, decimal conversion being quadratic. A series is
 # refused before anything is allocated when either estimate is above its
-# value at n = T = MAX_SERIES_N with SERIES_CAP_WEIGHTS. At that value on
-# a 2-vCPU VM, pontrjagin --json prints both series (7.1 MB) in 0.84 s
-# and 40 MB, and an immersion sweep to 4n takes 0.6 s.
+# value at n = T = MAX_SERIES_N with SERIES_CAP_WEIGHTS, or when n or T is
+# too large for the float estimate at all. At the cap on a 2-vCPU VM,
+# pontrjagin --json prints both series (7.1 MB) in 0.84 s and 40 MB, and
+# an immersion sweep to 4n takes 0.6 s.
 MAX_SERIES_N = 3200
 SERIES_CAP_WEIGHTS = (1, 8)
 
@@ -90,15 +91,21 @@ def _require_small_series(n: int, ell: WeightTuple, T: int) -> None:
     """ValueError when the series of n and ell truncated at T is estimated
     to cost more than at the cap (MAX_SERIES_N, SERIES_CAP_WEIGHTS)."""
     l1, l2 = ell.weights
-    bits, work, printing = _series_costs(n, l1, l2, T)
+    try:
+        bits, work, printing = _series_costs(n, l1, l2, T)
+    except OverflowError:
+        # n or T past a float (about 308 digits), far past the cap
+        work = printing = math.inf
+        size = "too large for a float estimate"
+    else:
+        size = f"an estimated {bits:.0f} bits a coefficient"
     cap_bits, cap_work, cap_printing = _series_costs(
         MAX_SERIES_N, *SERIES_CAP_WEIGHTS, MAX_SERIES_N)
     if work > cap_work or printing > cap_printing:
         raise ValueError(
             f"the Pontrjagin series of n = {n} and weights {l1},{l2} at "
-            f"truncation {T} (an estimated {bits:.0f} bits a coefficient) "
-            f"costs more than the cap allows, the cost at n = truncation = "
-            f"{MAX_SERIES_N} with weights "
+            f"truncation {T} ({size}) costs more than the cap allows, the "
+            f"cost at n = truncation = {MAX_SERIES_N} with weights "
             f"{','.join(map(str, SERIES_CAP_WEIGHTS))} ({cap_bits:.0f} bits)")
 
 

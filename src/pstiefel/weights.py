@@ -86,19 +86,32 @@ def homogeneous_sums(ell: WeightTuple, r: int) -> list[int]:
     return hs
 
 
-def homogeneous_sum(ell: WeightTuple, r: int) -> int:
-    """Complete homogeneous sum h_r of the weights: for two, the closed
-    form (l1^{r+1} - l2^{r+1}) / (l1 - l2), or (r+1) * l1^r at l1 = l2
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.2); for any
-    other count, the last entry of homogeneous_sums(ell, r)."""
+def homogeneous_sum(ell: WeightTuple, r: int,
+                    modulus: int | None = None) -> int:
+    """Complete homogeneous sum h_r of the weights, or its residue mod a
+    positive modulus m: for two, the closed form (l1^{r+1} - l2^{r+1}) /
+    (l1 - l2), or (r+1) * l1^r at l1 = l2 (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.2); for any other count, the last entry of
+    homogeneous_sums(ell, r). Two weights mod m take powers mod
+    m * |l1 - l2|, whose difference l1 - l2 divides exactly, so no
+    integer of about r log max|l| bits is built."""
     if len(ell) != 2:
-        return homogeneous_sums(ell, r)[r]
+        h = homogeneous_sums(ell, r)[r]
+        return h if modulus is None else h % modulus
     if r < 0:
         raise ValueError(f"negative degree {r}")
     l1, l2 = ell.weights
+    if modulus is None:
+        if l1 == l2:
+            return (r + 1) * l1 ** r
+        return (l1 ** (r + 1) - l2 ** (r + 1)) // (l1 - l2)
     if l1 == l2:
-        return (r + 1) * l1 ** r
-    return (l1 ** (r + 1) - l2 ** (r + 1)) // (l1 - l2)
+        return (r + 1) * pow(l1, r, modulus) % modulus
+    # N = h (l1 - l2), so N mod m|l1 - l2| is a multiple of l1 - l2
+    # whose quotient is h mod m
+    big = modulus * abs(l1 - l2)
+    return ((pow(l1, r + 1, big) - pow(l2, r + 1, big)) % big
+            // (l1 - l2) % modulus)
 
 
 def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:

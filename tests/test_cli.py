@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -201,11 +202,59 @@ class TestErrorPaths:
     def test_invariant_violation_exits_2(self, capsys, monkeypatch):
         import pstiefel.cohomology as cohomology
         monkeypatch.setattr(cohomology, "homogeneous_sum",
-                            lambda ell, r: 0)
+                            lambda ell, r, modulus=None: 0)
         rc = main(["cohomology", "--n", "4", "--k", "2", "--weights", "1,1",
                    "--prime", "3"])
         assert rc == 2
         assert "invariant violation" in capsys.readouterr().err
+
+
+# flags after a subcommand's name: help, its absence, the error paths of
+# argparse, an abbreviation and the two-token negative weights
+PARSER_VARIANTS = (["-h"], [], ["--bogus"], ["--n", "x"], ["--wei", "1,2"],
+                   ["--weights", "-3,4"], ["extra"])
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["100000", "40"])
+def test_per_command_parser_answers_as_the_full_parser(capsys, monkeypatch,
+                                                       columns):
+    # exit code, stdout and stderr byte for byte, usage wrapped or not
+    monkeypatch.setenv("COLUMNS", columns)
+    # verify with no flags would run every suite; the parsers are compared
+    monkeypatch.setattr(cli.verify_mod, "run_all", lambda quick: [])
+    cases = [[name, *flags] for name in cli.COMMANDS
+             for flags in PARSER_VARIANTS]
+    cases += [[], ["-h"], ["bogus"], ["--json"]]
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: (
+        built.append(command) or build(command)))
+    restricted = {" ".join(argv): _outcome(capsys, argv) for argv in cases}
+    assert built == [argv[0] for argv in cases[:-4]] + [None] * 4
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    full = {" ".join(argv): _outcome(capsys, argv) for argv in cases}
+    assert restricted == full
+
+
+def test_build_parser_adds_only_the_named_subcommand():
+    full = _subcommands(cli.build_parser())
+    assert len(full) == 9
+    assert full == list(cli.COMMANDS)
+    assert _subcommands(cli.build_parser("span")) == ["span"]
 
 
 class TestInputErrors:
@@ -553,6 +602,13 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
     assert "Traceback" not in proc.stderr
 
 
+# a size past a float, about 10^308
+BIG = 10 ** 400
+PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
+                "allows, the cost at n = truncation = 3200 with weights 1,8 "
+                "(15362 bits)")
+
+
 @pytest.mark.parametrize("argv,message", [
     ("complement --n 3000000 --weights 1,2,3",
      "complement needs n <= 50000, got 3000000"),
@@ -623,6 +679,16 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
      "truncation 999999999999 (an estimated 2804820237194 bits a "
      "coefficient) costs more than the cap allows, the cost at n = "
      "truncation = 3200 with weights 1,8 (15362 bits)"),
+    # sizes a float cannot hold take the same cap, not an OverflowError
+    (f"pontrjagin --n {BIG} --weights 1,2 --truncation 5",
+     f"the Pontrjagin series of n = {BIG} and weights 1,2 at truncation 5 "
+     + PAST_A_FLOAT),
+    (f"span --n {BIG} --weights 1,2 --prime 3",
+     f"the Pontrjagin series of n = {BIG} and weights 1,2 at truncation "
+     f"{BIG - 1} " + PAST_A_FLOAT),
+    (f"pontrjagin --n 5 --weights 1,2 --truncation {BIG}",
+     f"the Pontrjagin series of n = 5 and weights 1,2 at truncation {BIG} "
+     + PAST_A_FLOAT),
 ])
 def test_oversized_inputs_are_refused(argv, message):
     # refused, not computed: without the caps the smaller sizes run for

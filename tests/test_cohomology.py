@@ -103,9 +103,9 @@ class TestNilpotencyOrder:
         # step; rebuilding the table for each step took 125 of them
         calls = []
 
-        def counted(ell, r):
+        def counted(ell, r, modulus=None):
             calls.append(r)
-            return homogeneous_sum(ell, r)
+            return homogeneous_sum(ell, r, modulus)
 
         monkeypatch.setattr(cohomology, "homogeneous_sum", counted)
         assert nilpotency_order(params(250, 125, (1,) * 125), 5) == 250
@@ -126,7 +126,7 @@ class TestNilpotencyOrder:
     def test_no_transgression_raises(self, monkeypatch):
         # unreachable for genuine weights; force it to check the guard
         monkeypatch.setattr(cohomology, "homogeneous_sum",
-                            lambda ell, r: 0)
+                            lambda ell, r, modulus=None: 0)
         with pytest.raises(InvariantViolation, match="no transgression"):
             nilpotency_order(params(4, 2, (1, 1)), 3)
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +57,37 @@ class TestHomogeneousSum:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="negative degree"):
             homogeneous_sum(WeightTuple((1,)), -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ws=st.one_of(
+               st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+               st.sampled_from([(1, 1), (-1, -1), (1, -1), (-1, 1)]),
+               st.lists(st.integers(-20, 20), min_size=1, max_size=4)),
+           r=st.integers(0, 300),
+           m=st.one_of(st.sampled_from([2, 3, 5, 7, 997, 2 ** 61 - 1]),
+                       st.integers(1, 10 ** 6)))
+    @example(ws=(1000, -999), r=300, m=4)
+    @example(ws=(-1, -1), r=0, m=1)
+    def test_residue_matches_the_exact_sum(self, ws, r, m):
+        # prime and composite moduli, through the two-weight powers mod
+        # m |l1 - l2| and the table for other counts
+        if math.gcd(*ws) != 1:
+            ws = (1, *ws[1:])
+        ell = WeightTuple(ws)
+        assert homogeneous_sum(ell, r, m) == homogeneous_sum(ell, r) % m
+
+    def test_residue_of_a_huge_degree_returns_at_once(self):
+        # n of 400 digits: the exact h_{n-1} would have about 10^400 bits
+        code = ("from pstiefel.cohomology import StiefelParams, "
+                "nilpotency_order\n"
+                "from pstiefel.weights import WeightTuple\n"
+                "print(nilpotency_order(StiefelParams(10 ** 400 + 1, 2, "
+                "WeightTuple((1, 2))), 3))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        # h_r(1, 2) = 2^{r+1} - 1 vanishes mod 3 exactly at odd r
+        assert proc.stdout == "10" + "0" * 399 + "\n"
 
 
 class TestHomogeneousSums:
