@@ -98,6 +98,17 @@ def _grid() -> list[list[str]]:
         cases += [["chern", "--weights", ws, "--n", "5"],
                   ["chern", "--weights", ws, "--truncation", "4"],
                   ["chern", "--weights", ws]]
+    # requests that fail two checks: the message names the first one
+    cases += [argv.split() for argv in (
+        "cohomology --n 10000000 --k 3 --weights 1,2,3 --prime 2",
+        "cohomology --n 10000000 --k 1 --weights 1 --prime 2",
+        "cohomology --n 10000000 --k 2 --weights 1,2 --prime 4",
+        "cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 4",
+        "complement --n 8000 --weights 1,1000000000000000000,3",
+        "lens --d 2000000 --m 1 --weights 1,2",
+        "lens --d 100000 --m 1 --weights 1,1000000000000000000",
+        "span --n 100000 --weights 1,8 --prime 2",
+        "check-claims --n 1000001 --weights 1,2")]
     cases += [["bogus"], ["span", "--n", "7"],
               ["span", "--n", "7", "--weights", "1,two"],
               ["check-claims", "--n", "abc", "--weights", "1,2"],
