@@ -11,11 +11,9 @@ identical bytes. One recursive pass renders the report, byte for byte
 what json.dumps(..., indent=2, sort_keys=True) gives for the same report
 with every int written as its decimal string; it appends every piece to
 one list, joined once, and joins int lists in chunks, so a report of
-long int lists peaks at about twice its length. complement --n, the
-chern truncation and the size of a cohomology presentation have named
-caps (MAX_COMPLEMENT_N, MAX_CHERN_TRUNCATION and MAX_COHOMOLOGY_BYTES),
-and the homogeneous sums behind complement, chern, lens and cohomology
-with k >= 3 a cap on their estimated cost, all checked before any work.
+long int lists peaks at about twice its length. The size caps live in
+pstiefel.costs and are checked by the engine functions before any work;
+a request past one is invalid input like any other ValueError.
 Exit codes: 0 for any successfully computed answer (including DISCREPANT
 claim checks and absent certificates), 1 for invalid input or a stdout
 closed before the report is written, 2 for an internal invariant
@@ -32,77 +30,18 @@ import contextlib
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from math import lgamma, log, log2
 
 from . import verify as verify_mod
 from .cohomology import (CohomologyPresentation, InvariantViolation,
                          StiefelParams, check_presentation_invariants,
                          presentation_mod2, presentation_odd)
-from .geometry import (CERTIFICATE_BASIS, MAX_LENS_D, NOT_APPLICABLE,
-                       LensParams, RankBoundReport, SpanCertificate,
-                       best_immersion_bound, best_span_bound,
-                       check_immersion_theorem, check_span_theorem,
-                       cp_complement_min_rank, immersion_certificate,
-                       lens_rank_bound, normal_pontrjagin, span_certificate,
-                       tangent_pontrjagin)
+from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
+                       RankBoundReport, SpanCertificate, best_immersion_bound,
+                       best_span_bound, check_immersion_theorem,
+                       check_span_theorem, cp_complement_min_rank,
+                       immersion_certificate, lens_rank_bound,
+                       normal_pontrjagin, span_certificate, tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
-
-# Caps on the commands whose work grows quadratically or faster in one
-# flag, each checked before any table or series is built. At the cap, with
-# weights 1,2,3 on a 2-vCPU VM: complement's h-table holds Theta(n^2)
-# bits, 0.55 s and 276 MB; chern prints Theta(T^2) digits, 0.84 s for
-# 8.7 MB of JSON. cohomology is capped on the estimated size of its
-# packed Poincare product (StiefelParams.packed_poincare_bytes), which at
-# k ~ n/2 grows about as n^3 and its cost about as n^4: n = 400, k = 200
-# is 3.1 MB, 0.64 s and 6.3 MB of JSON; n = 450, k = 225 (4.6 MB) is
-# refused. For k >= 3 its nilpotency scan builds the same h-table as
-# complement, so it also takes complement's cap on n.
-MAX_COMPLEMENT_N = 50_000
-MAX_CHERN_TRUNCATION = 6_000
-MAX_COHOMOLOGY_BYTES = 4_000_000
-
-# The caps above bound one flag; the homogeneous sums h_r behind complement,
-# chern, lens and cohomology with k >= 3 also grow with the weights. For k
-# weights of absolute value at most L, |h_r| <= C(r + k - 1, k - 1) L^r,
-# the number of monomials times the largest one, which bounds the bits B
-# of every sum up to h_r. A command that builds E such sums (the table
-# h_0..h_r, or lens's one closed form) does about k E B bit operations of
-# arithmetic, and E B^2 to print them, decimal conversion being quadratic.
-# A request is refused before any work when either estimate is above its
-# value at the flag's cap with the weights the cap was measured at (1,2,3;
-# 1,2 for lens), so every size accepted at those weights stays accepted.
-# Without the second estimate, chern with weights 1,10^18 took 7.2 s at
-# truncation 1190 (0.8 s at its cap).
-CAP_WEIGHTS = (1, 2, 3)
-LENS_CAP_WEIGHTS = (1, 2)
-
-
-def _sum_costs(k: int, top: int, r: int, table: bool):
-    """(B, k E B, E B^2) for h_r of k weights of absolute value at most
-    top: E = r + 1 sums for a table, else 1."""
-    bits = ((lgamma(r + k) - lgamma(r + 1) - lgamma(k)) / log(2)
-            + r * log2(top))
-    entries = r + 1 if table else 1
-    return bits, k * entries * bits, entries * bits * bits
-
-
-def _require_small_sums(command: str, ell: WeightTuple, r: int, cap: int,
-                        cap_weights: tuple[int, ...], table: bool = True
-                        ) -> None:
-    """ValueError when building h_r(ell), with the table h_0..h_r unless
-    table is False, is estimated to cost more than for h_cap of
-    cap_weights. A negative r is left to the command's own check."""
-    k, top = len(ell), max(map(abs, ell))
-    bits, work, printing = _sum_costs(k, top, max(r, 0), table)
-    cap_bits, cap_work, cap_printing = _sum_costs(
-        len(cap_weights), max(cap_weights), cap, table)
-    if work > cap_work or printing > cap_printing:
-        raise ValueError(
-            f"{command}: h_{r} of {k} weights up to {top} in absolute value "
-            f"(an estimated {bits:.0f} bits) costs more than the cap allows, "
-            f"the cost of h_{cap} of weights "
-            f"{','.join(map(str, cap_weights))} ({cap_bits:.0f} bits)")
-
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
 
@@ -293,25 +232,7 @@ def _rank_report(rep: RankBoundReport, params: dict):
 def _cmd_cohomology(args):
     ell = _parse_weights(args.weights)
     params = StiefelParams(args.n, args.k, ell)
-    if args.k >= 3 and args.n > MAX_COMPLEMENT_N:
-        raise ValueError(
-            f"cohomology with k >= 3 needs n <= {MAX_COMPLEMENT_N}, "
-            f"got {args.n}")
-    size = params.packed_poincare_bytes
-    if size > MAX_COHOMOLOGY_BYTES:
-        raise ValueError(
-            f"cohomology needs an estimated packed size <= "
-            f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} "
-            f"(n = {args.n}, k = {args.k})")
-    if args.k >= 3:
-        # the nilpotency scan's h-table runs up to n - k + 1
-        _require_small_sums("cohomology", ell, args.n - args.k + 1,
-                            MAX_COMPLEMENT_N, CAP_WEIGHTS)
     if args.prime == 2:
-        if args.k != 2:
-            raise ValueError(
-                "mod-2 presentations are only available for two-frame "
-                "quotients (k = 2)")
         pres = presentation_mod2(args.n, ell)
     else:
         pres = presentation_odd(params, args.prime)
@@ -360,11 +281,6 @@ def _cmd_chern(args):
         T = args.n + 1
     else:
         raise ValueError("chern needs --truncation or --n")
-    if T > MAX_CHERN_TRUNCATION:
-        raise ValueError(
-            f"chern needs truncation <= {MAX_CHERN_TRUNCATION}, got {T}")
-    _require_small_sums("chern", ell, T - 1, MAX_CHERN_TRUNCATION - 1,
-                        CAP_WEIGHTS)
     total = total_chern(ell, T)
     comp = complement_chern(ell, T)
     lines = [] if args.json else [f"total:      {total!r}",
@@ -451,11 +367,6 @@ def _cmd_certificates(args):
 
 def _cmd_complement(args):
     ell = _parse_weights(args.weights)
-    if args.n > MAX_COMPLEMENT_N:
-        raise ValueError(
-            f"complement needs n <= {MAX_COMPLEMENT_N}, got {args.n}")
-    _require_small_sums("complement", ell, args.n, MAX_COMPLEMENT_N,
-                        CAP_WEIGHTS)
     return _rank_report(cp_complement_min_rank(args.n, ell),
                         {"n": args.n, "weights": list(ell.weights)})
 
@@ -466,9 +377,6 @@ def _cmd_lens(args):
         raise ValueError(
             f"lens spaces take exactly two weights, got {list(ell.weights)}")
     lens = LensParams(args.d, args.m, *ell)
-    # h_d comes from the two-weight closed form, not a table
-    _require_small_sums("lens", ell, args.d, MAX_LENS_D, LENS_CAP_WEIGHTS,
-                        table=False)
     params = {"d": args.d, "m": args.m, "weights": list(ell.weights)}
     return _rank_report(lens_rank_bound(lens), params)
 

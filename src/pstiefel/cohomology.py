@@ -25,6 +25,7 @@ from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import lshift, mod, mul, or_
 
+from .costs import require_presentation
 from .ring import require_prime
 from .weights import WeightTuple, homogeneous_sum
 
@@ -51,13 +52,6 @@ class StiefelParams(namedtuple("StiefelParams", "n k ell")):
     @property
     def dimension(self) -> int:
         return self.k * (2 * self.n - self.k) - 1
-
-    @property
-    def packed_poincare_bytes(self) -> int:
-        """Bound on the size of poincare_polynomial's packed int: one
-        field per degree 0..dimension, each wide enough for a total rank
-        of at most n * 2^(k-1) (order <= n, k - 1 exterior classes)."""
-        return (self.dimension + 1) * ((self.n.bit_length() + self.k + 6) // 8)
 
 
 class CohomologyPresentation(namedtuple(
@@ -170,6 +164,7 @@ def _later_residues(ell: WeightTuple, window: range, p: int):
 
 def presentation_odd(params: StiefelParams, p: int) -> CohomologyPresentation:
     """Mod-p presentation for odd p: truncated polynomial tensor exterior."""
+    require_presentation(params.n, params.k, params.ell)
     require_prime(p)
     if p == 2:
         raise ValueError(
@@ -188,9 +183,10 @@ def presentation_mod2(n: int, ell: WeightTuple) -> CohomologyPresentation:
     h_{n-1} even gives Z/2[x, y]/(x^n, y^2) with y in degree 2n - 3;
     h_{n-1} odd gives Z/2[x, y]/(x^{n-1}, y^2) with y in degree 2n - 1.
     """
+    require_presentation(n, len(ell), ell)
     if len(ell) != 2:
-        raise ValueError(
-            "mod-2 presentations are only available for two-frame quotients")
+        raise ValueError("mod-2 presentations are only available for "
+                         "two-frame quotients (k = 2)")
     if n < 2:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
     if homogeneous_sum(ell, n - 1, 2) == 0:

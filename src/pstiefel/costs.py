@@ -1,0 +1,124 @@
+"""Size caps: one cost estimate, and the checks each engine entry point
+runs on its input before its first table, series or scan.
+
+    limit                 value    at the limit, cap weights, 2-vCPU VM
+    MAX_COMPLEMENT_N      50,000   h-table of Theta(n^2) bits: 0.55 s, 276 MB
+    MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON
+    MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s
+    MAX_LENS_D            10^6     h_d's digits under --json: 1.4 s
+    MAX_SERIES_N          3,200    pontrjagin 0.84 s, 40 MB; 4n sweep 0.6 s
+    MAX_PRIME_BOUND       10^6     a sweep's sieve, one byte an integer
+
+The cap weights are CAP_WEIGHTS, LENS_CAP_WEIGHTS for lens and
+SERIES_CAP_WEIGHTS for the series. Under the flag caps, a request whose
+sums or series would cost more than at its cap with those weights is
+refused too (chern with weights 1,10^18 took 7.2 s at truncation 1190),
+so every size accepted at those weights stays accepted.
+"""
+
+from __future__ import annotations
+
+from math import lgamma, log, log2
+
+MAX_COMPLEMENT_N = 50_000
+MAX_CHERN_TRUNCATION = 6_000
+MAX_COHOMOLOGY_BYTES = 4_000_000
+MAX_LENS_D = 10 ** 6
+MAX_SERIES_N = 3200
+MAX_PRIME_BOUND = 10 ** 6
+CAP_WEIGHTS = (1, 2, 3)
+LENS_CAP_WEIGHTS = (1, 2)
+SERIES_CAP_WEIGHTS = (1, 8)
+
+
+def bits(count: int, r: int, top: int) -> float:
+    """log2 C(r + count - 1, count - 1) + r log2 top: the bits of a sum of
+    all degree-r monomials in count variables each at most top in size."""
+    return ((lgamma(r + count) - lgamma(r + 1) - lgamma(count)) / log(2)
+            + r * log2(top))
+
+
+def _too_costly(b, entries, ops, cap_b, cap_entries, cap_ops) -> bool:
+    """Whether entries numbers of b bits cost more than the cap's to build,
+    ops * entries * b bit operations, or to print, entries * b^2 (decimal
+    conversion being quadratic)."""
+    return (ops * entries * b > cap_ops * cap_entries * cap_b
+            or entries * b * b > cap_entries * cap_b * cap_b)
+
+
+def require_at_most(what: str, value: int, cap: int) -> None:
+    """ValueError "{what} <= {cap}, got {value}" when value passes cap."""
+    if value > cap:
+        raise ValueError(f"{what} <= {cap}, got {value}")
+
+
+def require_small_sums(command: str, ell, r: int, cap: int,
+                       cap_weights: tuple[int, ...] = CAP_WEIGHTS,
+                       table: bool = True) -> None:
+    """ValueError when h_r of the weights ell (and h_0..h_r, unless table
+    is False) costs more than h_cap of cap_weights; a negative r is left
+    to the caller. k weights up to L in size give |h_r| <= C(r + k - 1,
+    k - 1) L^r, so E sums of B bits take about k E B bit operations."""
+    k, top, r = len(ell), max(map(abs, ell)), max(r, 0)
+    b, cap_b = bits(k, r, top), bits(len(cap_weights), cap, max(cap_weights))
+    if _too_costly(b, r + 1 if table else 1, k,
+                   cap_b, cap + 1 if table else 1, len(cap_weights)):
+        raise ValueError(
+            f"{command}: h_{r} of {k} weights up to {top} in absolute value "
+            f"(an estimated {b:.0f} bits) costs more than the cap allows, "
+            f"the cost of h_{cap} of weights "
+            f"{','.join(map(str, cap_weights))} ({cap_b:.0f} bits)")
+
+
+def packed_poincare_bytes(n: int, k: int) -> int:
+    """Bound on the size of poincare_polynomial's packed int: one field per
+    degree 0..k(2n - k) - 1, each wide enough for a total rank of at most
+    n * 2^(k-1) (order <= n, k - 1 exterior classes)."""
+    return k * (2 * n - k) * ((n.bit_length() + k + 6) // 8)
+
+
+def require_presentation(n: int, k: int, ell) -> None:
+    """The caps of a cohomology presentation: its packed size, which at
+    k ~ n/2 grows about as n^3 and its cost as n^4, and for k >= 3 the
+    h-table of the nilpotency scan, up to n - k + 1, as for complement."""
+    if k >= 3:
+        require_at_most("cohomology with k >= 3 needs n", n, MAX_COMPLEMENT_N)
+    size = packed_poincare_bytes(n, k)
+    if size > MAX_COHOMOLOGY_BYTES:
+        raise ValueError(
+            f"cohomology needs an estimated packed size <= "
+            f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} (n = {n}, k = {k})")
+    if k >= 3:
+        require_small_sums("cohomology", ell, n - k + 1, MAX_COMPLEMENT_N)
+
+
+def _series_size(n: int, l1: int, l2: int, T: int) -> tuple[float, int]:
+    """(B, E): the E = ceil(T/2) even coefficients of the series of n and
+    (l1, l2) truncated at T have at most B bits, from C(2n + j, j) M^j at
+    j = E - 1, M = max(l1^2, l2^2, (l2 - l1)^2), and a sign bit."""
+    even = max((T + 1) // 2, 1)
+    top = max(l1 * l1, l2 * l2, (l2 - l1) ** 2)
+    return bits(2 * n + 1, even - 1, top) + 1, even
+
+
+def require_small_series(n: int, ell, T: int) -> None:
+    """ValueError when the Pontrjagin series of n and two weights ell
+    truncated at T costs more than at n = T = MAX_SERIES_N with
+    SERIES_CAP_WEIGHTS, or is too large for the float estimate."""
+    l1, l2 = ell
+    cap_b, cap_even = _series_size(MAX_SERIES_N, *SERIES_CAP_WEIGHTS,
+                                   MAX_SERIES_N)
+    try:
+        b, even = _series_size(n, l1, l2, T)
+    except OverflowError:
+        # n or T past a float (about 308 digits), far past the cap
+        size = "too large for a float estimate"
+    else:
+        if not _too_costly(b, even, 1, cap_b, cap_even, 1):
+            return
+        size = f"an estimated {b:.0f} bits a coefficient"
+    raise ValueError(
+        f"the Pontrjagin series of n = {n} and weights {l1},{l2} at "
+        f"truncation {T} ({size}) costs more than the cap allows, the "
+        f"cost at n = truncation = {MAX_SERIES_N} with weights "
+        f"{','.join(map(str, SERIES_CAP_WEIGHTS))} ({cap_b:.0f} bits)")

@@ -24,11 +24,11 @@ against these computations and the verdict (AGREE or DISCREPANT) is
 reported as data. With F = (1 - l1^2 x^2)(1 - l2^2 x^2) and
 D = 1 - (l2 - l1)^2 x^2 the tangent series is F^n D^{-1}, one power
 divided by D in one triangular solve (D.inv(F^n)), and the normal one
-F^{-n} D, one power times D; a series estimated past MAX_SERIES_N is
-refused before it is built. Independent routes to these coefficients
-live outside the engine: the tests' dense repeated-squaring and
-schoolbook oracles and ``math.comb`` expansion, and the benchmark's
-oracle.
+F^{-n} D, one power times D. A series, complement or lens report or
+prime sweep past its cap in pstiefel.costs is refused before any work.
+Independent routes to these coefficients live outside the engine: the
+tests' dense repeated-squaring and schoolbook oracles and ``math.comb``
+expansion, and the benchmark's oracle.
 
 The complement-rank reports answer a related stable question over
 complex projective spaces and lens spaces: how small can a complement
@@ -42,6 +42,8 @@ import math
 from collections import namedtuple
 
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
+from . import costs
+from .costs import MAX_PRIME_BOUND
 from .ring import p_adic_valuation, primes_upto
 from .series import TruncatedSeries
 from .weights import WeightTuple, homogeneous_sum, homogeneous_sums
@@ -61,61 +63,13 @@ def _require_two_frames(ell: WeightTuple, n: int | None = None) -> None:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
 
 
-# Cap on the integer Pontrjagin series. With M = max(l1^2, l2^2,
-# (l2 - l1)^2), the coefficient of x^{2j} of either series is at most
-# C(2n + j, j) M^j in absolute value, which bounds the bits B of each of
-# its ceil(T/2) even coefficients. Building the series takes about
-# ceil(T/2) B bit operations and holds as many bits; printing it takes
-# about ceil(T/2) B^2, decimal conversion being quadratic. A series is
-# refused before anything is allocated when either estimate is above its
-# value at n = T = MAX_SERIES_N with SERIES_CAP_WEIGHTS, or when n or T is
-# too large for the float estimate at all. At the cap on a 2-vCPU VM,
-# pontrjagin --json prints both series (7.1 MB) in 0.84 s and 40 MB, and
-# an immersion sweep to 4n takes 0.6 s.
-MAX_SERIES_N = 3200
-SERIES_CAP_WEIGHTS = (1, 8)
-
-
-def _series_costs(n: int, l1: int, l2: int, T: int):
-    """(B, ceil(T/2) B, ceil(T/2) B^2) for the series of n and (l1, l2)
-    truncated at T."""
-    even = max((T + 1) // 2, 1)
-    j = even - 1
-    bits = ((math.lgamma(2 * n + j + 1) - math.lgamma(j + 1)
-             - math.lgamma(2 * n + 1)) / math.log(2)
-            + j * math.log2(max(l1 * l1, l2 * l2, (l2 - l1) ** 2)) + 1)
-    return bits, even * bits, even * bits * bits
-
-
-def _require_small_series(n: int, ell: WeightTuple, T: int) -> None:
-    """ValueError when the series of n and ell truncated at T is estimated
-    to cost more than at the cap (MAX_SERIES_N, SERIES_CAP_WEIGHTS)."""
-    l1, l2 = ell.weights
-    try:
-        bits, work, printing = _series_costs(n, l1, l2, T)
-    except OverflowError:
-        # n or T past a float (about 308 digits), far past the cap
-        work = printing = math.inf
-        size = "too large for a float estimate"
-    else:
-        size = f"an estimated {bits:.0f} bits a coefficient"
-    cap_bits, cap_work, cap_printing = _series_costs(
-        MAX_SERIES_N, *SERIES_CAP_WEIGHTS, MAX_SERIES_N)
-    if work > cap_work or printing > cap_printing:
-        raise ValueError(
-            f"the Pontrjagin series of n = {n} and weights {l1},{l2} at "
-            f"truncation {T} ({size}) costs more than the cap allows, the "
-            f"cost at n = truncation = {MAX_SERIES_N} with weights "
-            f"{','.join(map(str, SERIES_CAP_WEIGHTS))} ({cap_bits:.0f} bits)")
-
-
 def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
                 truncation: int | None, sign: int) -> TruncatedSeries:
     """The tangent series for sign 1, its inverse (the normal one) for -1:
     F^n divided by D in one triangular solve, or F^-n times D."""
     _require_two_frames(ell, n)
     T = n if truncation is None else truncation
-    _require_small_series(n, ell, T)
+    costs.require_small_series(n, ell, T)
     l1, l2 = ell.weights
     # (1 - l1^2 x^2)(1 - l2^2 x^2), so one power serves both frames
     frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
@@ -187,7 +141,7 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
     refused by nilpotency_order, and p = 2 right after it."""
     _require_two_frames(ell, n)
     if series is None:
-        _require_small_series(n, ell, n - 1)
+        costs.require_small_series(n, ell, n - 1)
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
     if p == 2:
         raise ValueError(
@@ -229,11 +183,6 @@ def immersion_certificate(n: int, ell: WeightTuple, p: int,
     return _certificate(n, ell, p, normal_pontrjagin, series, lambda j, w:
                         ImmersionCertificate(p, j, w, (4 * n - 6) + 2 * j,
                                              (4 * n - 5) + 2 * j))
-
-
-# Largest prime bound a sweep accepts: its sieve takes one byte per
-# integer, and each prime costs a series computation.
-MAX_PRIME_BOUND = 10 ** 6
 
 
 class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
@@ -312,9 +261,7 @@ def _require_claim_input(ell: WeightTuple, n: int) -> None:
     """Every qualifying prime divides n or n - 1, so n <= MAX_PRIME_BOUND
     keeps each one within a sweep's bound, and trial division short."""
     _require_two_frames(ell, n)
-    if n > MAX_PRIME_BOUND:
-        raise ValueError(
-            f"claim checks need n <= {MAX_PRIME_BOUND}, got {n}")
+    costs.require_at_most("claim checks need n", n, MAX_PRIME_BOUND)
 
 
 def _odd_prime_divisors(n: int) -> list[int]:
@@ -453,6 +400,8 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    costs.require_at_most("complement needs n", n, costs.MAX_COMPLEMENT_N)
+    costs.require_small_sums("complement", ell, n, costs.MAX_COMPLEMENT_N)
     hs = homogeneous_sums(ell, n)
     surviving = [i for i in range(1, n + 1) if hs[i] != 0]
     lower = max(surviving, default=0)
@@ -469,12 +418,6 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
         reason_index=lower, reason_value=sign * hs[lower], notes=notes)
 
 
-# Largest join dimension d of a lens space: h_d is a (d+1)-th power, and
-# printing its decimal digits (the criterion's value, under --json) takes
-# about 1.4 s at the cap with weights 1,2.
-MAX_LENS_D = 10 ** 6
-
-
 class LensParams(namedtuple("LensParams", "d m l1 l2")):
     """A lens space quotient instance: join dimension d, order m, weights."""
 
@@ -483,12 +426,14 @@ class LensParams(namedtuple("LensParams", "d m l1 l2")):
     def __new__(cls, d: int, m: int, l1: int, l2: int):
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
-        if d > MAX_LENS_D:
-            raise ValueError(f"need d <= {MAX_LENS_D}, got {d}")
+        costs.require_at_most("need d", d, costs.MAX_LENS_D)
         if m < 2:
             raise ValueError(f"need m >= 2, got {m}")
         if math.gcd(l1, l2) != 1:
             raise ValueError(f"weights ({l1}, {l2}) must be coprime")
+        # h_d comes from the two-weight closed form, not a table
+        costs.require_small_sums("lens", (l1, l2), d, costs.MAX_LENS_D,
+                                 costs.LENS_CAP_WEIGHTS, table=False)
         return tuple.__new__(cls, (d, m, l1, l2))
 
 

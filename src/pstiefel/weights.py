@@ -22,6 +22,7 @@ import math
 from collections.abc import Iterable, Iterator
 from itertools import combinations_with_replacement
 
+from .costs import MAX_CHERN_TRUNCATION, require_at_most, require_small_sums
 from .ring import gcd_all
 from .series import TruncatedSeries
 
@@ -132,6 +133,8 @@ def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
 
 def total_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:
     """Total Chern series prod_j (1 + l_j x), exact over Z."""
+    require_at_most("chern needs truncation", truncation, MAX_CHERN_TRUNCATION)
+    require_small_sums("chern", ell, truncation - 1, MAX_CHERN_TRUNCATION - 1)
     out = TruncatedSeries.one(truncation)
     for w in ell.weights:
         out = out.mul(TruncatedSeries([1, w], truncation))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pstiefel.weights as weights
-from pstiefel import cli
+from pstiefel import cli, costs
 from pstiefel.cli import REPORT_SCHEMA, main
 
 
@@ -591,7 +591,7 @@ def test_module_entry_point():
 def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
     # with the series cap lifted, these sizes reach the interpreter's own
     # size errors; with it, they are refused first (see below)
-    lifted = ("import sys, pstiefel.geometry as g; g.MAX_SERIES_N = 10 ** 30; "
+    lifted = ("import sys, pstiefel.costs as c; c.MAX_SERIES_N = 10 ** 30; "
               "from pstiefel.cli import main; sys.exit(main())")
     proc = subprocess.run([sys.executable, "-c", lifted, *argv.split()],
                           capture_output=True, text=True, timeout=60)
@@ -702,7 +702,53 @@ def test_oversized_inputs_are_refused(argv, message):
     assert proc.stderr == f"pstiefel: error: {message}\n"
 
 
+@pytest.mark.parametrize("call,argv", [
+    ("cp_complement_min_rank(8000, WeightTuple((1, 10**18)))",
+     "complement --n 8000 --weights 1,1000000000000000000"),
+    ("complement_chern(WeightTuple((1, 10**18)), 3000)",
+     "chern --weights 1,1000000000000000000 --truncation 3000"),
+    ("presentation_odd(StiefelParams(10**7, 2, WeightTuple((1, 2))), 3)",
+     "cohomology --n 10000000 --k 2 --weights 1,2 --prime 3"),
+    ("presentation_mod2(10**7, WeightTuple((1, 2)))",
+     "cohomology --n 10000000 --k 2 --weights 1,2 --prime 2"),
+    ("presentation_odd(StiefelParams(50_000, 3, WeightTuple((1, 2, 1000))), 3)",
+     "cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 3"),
+    ("LensParams(100_000, 3, 1, 10**18)",
+     "lens --d 100000 --m 3 --weights 1,1000000000000000000"),
+])
+def test_library_calls_past_a_cap_raise_at_once(capsys, call, argv):
+    # the engine checks its own caps: a library call is refused with the
+    # message its command prints, where unchecked it ran for seconds to
+    # minutes and took hundreds of megabytes
+    code = ("from pstiefel import *\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=5)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(argv.split()) == 1
+    assert proc.stdout == capsys.readouterr().err.replace(
+        "pstiefel: error: ", "", 1)
+
+
+def test_readme_states_every_cap():
+    # each limit and each set of cap weights, as the README's table
+    # writes it: name, then value
+    from pathlib import Path
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = [name for name in vars(costs)
+             if name.startswith("MAX_") or name.endswith("CAP_WEIGHTS")]
+    assert len(names) == 9
+    for name in names:
+        value = getattr(costs, name)
+        text = (f"{value:,}" if isinstance(value, int)
+                else ",".join(map(str, value)))
+        assert f"| `{name}` | {text} |" in readme, name
+
+
 def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
+    import pstiefel.cohomology as cohomology
     import pstiefel.geometry as geometry
     from pstiefel.series import TruncatedSeries
 
@@ -713,21 +759,24 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     monkeypatch.setattr(geometry, "TruncatedSeries", no_work)
     monkeypatch.setattr(geometry, "nilpotency_order", no_work)
 
-    monkeypatch.setattr(cli, "cp_complement_min_rank", no_work)
-    monkeypatch.setattr(cli, "total_chern", no_work)
-    monkeypatch.setattr(cli, "presentation_odd", no_work)
-    monkeypatch.setattr(cli, "presentation_mod2", no_work)
-    monkeypatch.setattr(cli, "lens_rank_bound", no_work)
-    assert main(["complement", "--n", str(cli.MAX_COMPLEMENT_N + 1),
+    # the kernels behind each engine entry point, which checks its caps
+    # before it calls any of them
+    monkeypatch.setattr(geometry, "homogeneous_sums", no_work)
+    monkeypatch.setattr(geometry, "homogeneous_sum", no_work)
+    monkeypatch.setattr(weights, "TruncatedSeries", no_work)
+    monkeypatch.setattr(cohomology, "require_prime", no_work)
+    monkeypatch.setattr(cohomology, "homogeneous_sum", no_work)
+    monkeypatch.setattr(cohomology, "nilpotency_order", no_work)
+    assert main(["complement", "--n", str(costs.MAX_COMPLEMENT_N + 1),
                  "--weights", "1,2"]) == 1
     assert main(["chern", "--weights", "1,2", "--truncation",
-                 str(cli.MAX_CHERN_TRUNCATION + 1)]) == 1
+                 str(costs.MAX_CHERN_TRUNCATION + 1)]) == 1
     assert main(["chern", "--weights", "1,2", "--n",
-                 str(cli.MAX_CHERN_TRUNCATION)]) == 1
+                 str(costs.MAX_CHERN_TRUNCATION)]) == 1
     for prime in ("2", "3"):
         assert main(["cohomology", "--n", "10000000", "--k", "2",
                      "--weights", "1,2", "--prime", prime]) == 1
-    assert main(["cohomology", "--n", str(cli.MAX_COMPLEMENT_N + 1),
+    assert main(["cohomology", "--n", str(costs.MAX_COMPLEMENT_N + 1),
                  "--k", "3", "--weights", "1,2,3", "--prime", "3"]) == 1
     # an estimated 4,556,250 bytes
     assert main(["cohomology", "--n", "450", "--k", "225",
@@ -755,16 +804,17 @@ def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
     # checked at the largest r each command accepts; the estimate grows
     # with r, so every smaller size passes too
     ell = weights.WeightTuple(ws)
-    cli._require_small_sums("complement", ell, cli.MAX_COMPLEMENT_N,
-                            cli.MAX_COMPLEMENT_N, cli.CAP_WEIGHTS)
-    cli._require_small_sums("chern", ell, cli.MAX_CHERN_TRUNCATION - 1,
-                            cli.MAX_CHERN_TRUNCATION - 1, cli.CAP_WEIGHTS)
+    costs.require_small_sums("complement", ell, costs.MAX_COMPLEMENT_N,
+                             costs.MAX_COMPLEMENT_N, costs.CAP_WEIGHTS)
+    costs.require_small_sums("chern", ell, costs.MAX_CHERN_TRUNCATION - 1,
+                             costs.MAX_CHERN_TRUNCATION - 1, costs.CAP_WEIGHTS)
     if len(ws) == 3:
-        cli._require_small_sums("cohomology", ell, cli.MAX_COMPLEMENT_N - 2,
-                                cli.MAX_COMPLEMENT_N, cli.CAP_WEIGHTS)
+        costs.require_small_sums("cohomology", ell, costs.MAX_COMPLEMENT_N - 2,
+                                 costs.MAX_COMPLEMENT_N, costs.CAP_WEIGHTS)
     if len(ws) == 2 and max(map(abs, ws)) <= 2:
-        cli._require_small_sums("lens", ell, cli.MAX_LENS_D, cli.MAX_LENS_D,
-                                cli.LENS_CAP_WEIGHTS, table=False)
+        costs.require_small_sums("lens", ell, costs.MAX_LENS_D,
+                                 costs.MAX_LENS_D, costs.LENS_CAP_WEIGHTS,
+                                 table=False)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -787,8 +837,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
 def test_series_cap_admits_the_sizes_ci_runs(ws, n):
     # CI's immersion and span steps, and n = 4000 for small weights; the
     # estimate grows with n and the truncation, so smaller sizes pass too
-    import pstiefel.geometry as geometry
-    geometry._require_small_series(n, weights.WeightTuple(ws), n)
+    costs.require_small_series(n, weights.WeightTuple(ws), n)
 
 
 @pytest.mark.parametrize("argv", [

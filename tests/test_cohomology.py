@@ -9,6 +9,7 @@ from pstiefel.cohomology import (CohomologyPresentation, InvariantViolation,
                                  StiefelParams, check_presentation_invariants,
                                  nilpotency_order, poincare_polynomial,
                                  presentation_mod2, presentation_odd)
+from pstiefel.costs import packed_poincare_bytes
 from pstiefel.ring import lucas_binom
 from pstiefel.weights import WeightTuple, homogeneous_sum, homogeneous_sums
 
@@ -46,15 +47,16 @@ class TestStiefelParams:
         assert params(5, 1, (1,)).dimension == 8  # CP^4 as the k=1 case
 
     def test_packed_poincare_bytes_bounds_the_kernel(self):
-        assert params(400, 200, (1,) * 200).packed_poincare_bytes == 3_120_000
-        assert params(450, 225, (1,) * 225).packed_poincare_bytes == 4_556_250
+        assert packed_poincare_bytes(400, 200) == 3_120_000
+        assert packed_poincare_bytes(450, 225) == 4_556_250
         for n in range(1, 25):
             for k in range(1, n + 1):
                 pr = params(n, k, (1,) * k)
                 pres = presentation_odd(pr, 3)
                 rank = pres.nilpotency_order << len(pres.exterior_degrees)
                 width = max(1, (rank.bit_length() + 7) // 8)
-                assert (pr.dimension + 1) * width <= pr.packed_poincare_bytes
+                assert (pr.dimension + 1) * width <= packed_poincare_bytes(
+                    n, k)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
