@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -735,7 +736,6 @@ def test_library_calls_past_a_cap_raise_at_once(capsys, call, argv):
 def test_readme_states_every_cap():
     # each limit and each set of cap weights, as the README's table
     # writes it: name, then value
-    from pathlib import Path
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     names = [name for name in vars(costs)
              if name.startswith("MAX_") or name.endswith("CAP_WEIGHTS")]
