@@ -36,14 +36,16 @@ from .cohomology import (CohomologyPresentation, InvariantViolation,
                          StiefelParams, check_presentation_invariants,
                          presentation_mod2, presentation_odd)
 from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
-                       RankBoundReport, SpanCertificate, best_immersion_bound,
-                       best_span_bound, check_immersion_theorem,
-                       check_span_theorem, cp_complement_min_rank,
-                       immersion_certificate, lens_rank_bound,
-                       normal_pontrjagin, span_certificate, tangent_pontrjagin)
+                       RankBoundReport, best_immersion_bound, best_span_bound,
+                       check_immersion_theorem, check_span_theorem,
+                       cp_complement_min_rank, immersion_certificate,
+                       lens_rank_bound, normal_pontrjagin, span_certificate,
+                       tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
+# both certificate records' field order; only immersion has a claimed bound
+CERTIFICATE_KEYS = ("prime", "index", "witness", "bound", "claimed")
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -58,15 +60,9 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["prime", "index", "witness", "bound", "basis"],
-                "properties": {
-                    "prime": NUMBER,
-                    "index": NUMBER,
-                    "witness": NUMBER,
-                    "bound": NUMBER,
-                    "claimed": NUMBER,
-                    "basis": {"const": "direct-series"},
-                },
+                "required": [*CERTIFICATE_KEYS[:-1], "basis"],
+                "properties": {**dict.fromkeys(CERTIFICATE_KEYS, NUMBER),
+                               "basis": {"const": CERTIFICATE_BASIS}},
                 "additionalProperties": False,
             },
         },
@@ -184,13 +180,7 @@ def _series_payload(series) -> dict:
 
 
 def _certificate_payload(cert) -> dict:
-    payload = {"prime": cert.prime, "index": cert.index,
-               "witness": cert.witness, "basis": CERTIFICATE_BASIS}
-    if isinstance(cert, SpanCertificate):
-        payload["bound"] = cert.span_bound
-    else:
-        payload.update(bound=cert.certified_dim, claimed=cert.claimed_dim)
-    return payload
+    return dict(zip(CERTIFICATE_KEYS, cert), basis=CERTIFICATE_BASIS)
 
 
 def _rank_report(rep: RankBoundReport, params: dict):
@@ -266,7 +256,7 @@ def _cmd_cohomology(args):
         f"invariants {'ok' if check.passed else 'FAILED'}",
     ]
     return lines, {"params": {"n": args.n, "k": args.k,
-                              "weights": list(ell.weights),
+                              "weights": list(ell),
                               "prime": args.prime},
                    "result": result}
 
@@ -286,7 +276,7 @@ def _cmd_chern(args):
     lines = [] if args.json else [f"total:      {total!r}",
                                   f"complement: {comp!r}"]
     return lines, {
-        "params": {"weights": list(ell.weights), "truncation": T},
+        "params": {"weights": list(ell), "truncation": T},
         "result": {"total": _series_payload(total),
                    "complement": _series_payload(comp)}}
 
@@ -299,7 +289,7 @@ def _cmd_pontrjagin(args):
     lines = [] if args.json else [f"tangent: {tangent!r}",
                                   f"normal:  {normal!r}"]
     return lines, {
-        "params": {"n": args.n, "weights": list(ell.weights),
+        "params": {"n": args.n, "weights": list(ell),
                    "modulus": args.modulus, "truncation": T},
         "result": {"tangent": _series_payload(tangent),
                    "normal": _series_payload(normal)}}
@@ -325,7 +315,7 @@ def _cmd_certificates(args):
 
     if args.prime is not None and args.prime_bound is not None:
         raise ValueError("give --prime or --prime-bound, not both")
-    params = {"n": args.n, "weights": list(ell.weights)}
+    params = {"n": args.n, "weights": list(ell)}
     diagnostics = []
     # Look the engine functions up at call time: a table built at import
     # would hide them from anything that rebinds module names.
@@ -368,16 +358,16 @@ def _cmd_certificates(args):
 def _cmd_complement(args):
     ell = _parse_weights(args.weights)
     return _rank_report(cp_complement_min_rank(args.n, ell),
-                        {"n": args.n, "weights": list(ell.weights)})
+                        {"n": args.n, "weights": list(ell)})
 
 
 def _cmd_lens(args):
     ell = _parse_weights(args.weights)
     if len(ell) != 2:
         raise ValueError(
-            f"lens spaces take exactly two weights, got {list(ell.weights)}")
+            f"lens spaces take exactly two weights, got {list(ell)}")
     lens = LensParams(args.d, args.m, *ell)
-    params = {"d": args.d, "m": args.m, "weights": list(ell.weights)}
+    params = {"d": args.d, "m": args.m, "weights": list(ell)}
     return _rank_report(lens_rank_bound(lens), params)
 
 
@@ -406,7 +396,7 @@ def _cmd_check_claims(args):
                          f"claimed {inst.claimed})")
             lines.append(desc)
     return lines + diagnostics, {
-        "params": {"n": args.n, "weights": list(ell.weights)},
+        "params": {"n": args.n, "weights": list(ell)},
         "result": result, "diagnostics": diagnostics,
         "claim_checks": claim_payload}
 

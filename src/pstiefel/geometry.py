@@ -70,7 +70,7 @@ def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
     _require_two_frames(ell, n)
     T = n if truncation is None else truncation
     costs.require_small_series(n, ell, T)
-    l1, l2 = ell.weights
+    l1, l2 = ell
     # (1 - l1^2 x^2)(1 - l2^2 x^2), so one power serves both frames
     frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
                              T, modulus)
@@ -315,7 +315,7 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     2's hypotheses make p divide h_{n-1}, so the order is n > 2*i2.
     """
     _require_claim_input(ell, n)
-    l1, l2 = ell.weights
+    l1, l2 = ell
     gap = l2 - l1
     i1 = (n - 2) // 2
     i2 = (n - 1) // 2
@@ -353,7 +353,7 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     2*j <= n - 3 sits below the nilpotency order, n - 1 or n.
     """
     _require_claim_input(ell, n)
-    l1, l2 = ell.weights
+    l1, l2 = ell
     # n = 2 has no qualifying prime, so j >= 0 below
     j = (n - 3) // 2
     notes = ()

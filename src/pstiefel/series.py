@@ -6,52 +6,39 @@ and everything at x^truncation and beyond is discarded. In the geometric
 applications x sits in topological degree 2, so index i means degree 2i
 there, but this module knows nothing about degrees.
 
-Values are immutable; every operation returns a fresh series and loops
-over nonzero terms only: division (and inversion) by the triangular
-solve, powers by Knuth's power recurrence (TAOCP vol. 2, 4.7) on the
-integer lift. Divisors and negative powers need a unit constant term
-(+-1 over Z).
+Values are tuple records (coeffs, modulus); every operation returns a
+fresh series and loops over nonzero terms only: division (and inversion)
+by the triangular solve, powers by Knuth's power recurrence (TAOCP
+vol. 2, 4.7) on the integer lift. Divisors and negative powers need a
+unit constant term (+-1 over Z).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 
 
-class TruncatedSeries:
-    """Immutable value: equality and hash over (coeffs, modulus)."""
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs modulus")):
+    """Record (coeffs, modulus), built from (coeffs, truncation, modulus)."""
 
-    __slots__ = ("coeffs", "modulus")
+    __slots__ = ()
 
-    def __init__(self, coeffs, truncation: int, modulus: int = 0):
+    def __new__(cls, coeffs, truncation: int, modulus: int = 0):
         if truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {truncation}")
         if modulus < 0 or modulus == 1:
             raise ValueError(f"invalid modulus {modulus}")
-        coeffs = list(coeffs)
-        if len(coeffs) > truncation:
-            coeffs = coeffs[:truncation]
-        else:
-            coeffs = coeffs + [0] * (truncation - len(coeffs))
+        coeffs = list(coeffs)[:truncation]
+        coeffs += [0] * (truncation - len(coeffs))
         if modulus:
             coeffs = [c % modulus for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "modulus", modulus)
+        return tuple.__new__(cls, (tuple(coeffs), modulus))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.modulus) == (other.coeffs, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.modulus))
+    def __getnewargs__(self):
+        # for copy and pickle: the default passes modulus as truncation
+        return self.coeffs, self.truncation, self.modulus
 
     @property
     def truncation(self) -> int:

@@ -19,7 +19,7 @@ inverse, whose x^r coefficient is (-1)^r h_r.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import combinations_with_replacement
 
 from .costs import MAX_CHERN_TRUNCATION, require_at_most, require_small_sums
@@ -30,46 +30,26 @@ BRUTEFORCE_MAX_R = 12
 BRUTEFORCE_MAX_K = 6
 
 
-class WeightTuple:
-    """A nonempty primitive tuple of integer circle weights; an immutable
-    value with equality and hash over its weights."""
+class WeightTuple(tuple):
+    """A tuple of integer circle weights, checked nonempty and primitive."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    def __init__(self, weights: Iterable[int]):
+    def __new__(cls, weights: Iterable[int]):
         ws = tuple(int(w) for w in weights)
         if not ws:
             raise ValueError("empty weight tuple")
         g = gcd_all(ws)
         if g != 1:
             raise ValueError(f"weights {ws} not primitive: gcd is {g}")
-        object.__setattr__(self, "weights", ws)
+        return tuple.__new__(cls, ws)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash(self.weights)
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"WeightTuple(weights={self.weights!r})"
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.weights)
-
-    def __getitem__(self, i: int) -> int:
-        return self.weights[i]
+        return f"WeightTuple(weights={tuple(self)!r})"
 
 
 def homogeneous_sums(ell: WeightTuple, r: int) -> list[int]:
@@ -81,7 +61,7 @@ def homogeneous_sums(ell: WeightTuple, r: int) -> list[int]:
     if r < 0:
         raise ValueError(f"negative degree {r}")
     hs = [1] + [0] * r
-    for w in ell.weights:
+    for w in ell:
         for i in range(1, r + 1):
             hs[i] += w * hs[i - 1]
     return hs
@@ -96,12 +76,14 @@ def homogeneous_sum(ell: WeightTuple, r: int,
     homogeneous_sums(ell, r). Two weights mod m take powers mod
     m * |l1 - l2|, whose difference l1 - l2 divides exactly, so no
     integer of about r log max|l| bits is built."""
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     if len(ell) != 2:
         h = homogeneous_sums(ell, r)[r]
         return h if modulus is None else h % modulus
     if r < 0:
         raise ValueError(f"negative degree {r}")
-    l1, l2 = ell.weights
+    l1, l2 = ell
     if modulus is None:
         if l1 == l2:
             return (r + 1) * l1 ** r
@@ -128,7 +110,7 @@ def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
         raise ValueError(
             f"oracle range exceeded (r <= {BRUTEFORCE_MAX_R}, "
             f"k <= {BRUTEFORCE_MAX_K}); got r={r}, k={k}")
-    return sum(map(math.prod, combinations_with_replacement(ell.weights, r)))
+    return sum(map(math.prod, combinations_with_replacement(ell, r)))
 
 
 def total_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:
@@ -136,7 +118,7 @@ def total_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:
     require_at_most("chern needs truncation", truncation, MAX_CHERN_TRUNCATION)
     require_small_sums("chern", ell, truncation - 1, MAX_CHERN_TRUNCATION - 1)
     out = TruncatedSeries.one(truncation)
-    for w in ell.weights:
+    for w in ell:
         out = out.mul(TruncatedSeries([1, w], truncation))
     return out
 

@@ -1,6 +1,9 @@
-"""The value types: immutable, equal and hashed by their fields, with a
-Name(field=value, ...) repr; and an import that generates no code for them."""
+"""The value types: immutable tuple records that equal and hash as the plain
+tuple of their fields, copy and pickle, and have a Name(field=value, ...)
+repr; and an import that generates no code for them."""
 
+import copy
+import pickle
 import subprocess
 import sys
 
@@ -102,6 +105,13 @@ def test_records_are_immutable_values(name):
     with pytest.raises(AttributeError):
         a.extra = 0
     assert a == b
+    for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(c) is type(a) and c == a
+    plain = tuple(a)
+    assert type(plain) is tuple and a == plain and plain == a
+    # SuiteResult's failures and PresentationCheck's poincare are lists
+    if name not in ("SuiteResult", "PresentationCheck"):
+        assert hash(a) == hash(plain)
 
 
 def test_importing_the_cli_generates_no_record_code():

@@ -58,6 +58,19 @@ class TestHomogeneousSum:
         with pytest.raises(ValueError, match="negative degree"):
             homogeneous_sum(WeightTuple((1,)), -1)
 
+    @pytest.mark.parametrize("ws", [(1, 2), (1, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("modulus", [0, -3])
+    def test_modulus_below_one_rejected(self, ws, modulus, monkeypatch):
+        # refused before any table is built, for the table and the two
+        # closed forms alike
+        def table(ell, r):
+            raise AssertionError(f"table built for {ell.weights}")
+
+        monkeypatch.setattr(weights, "homogeneous_sums", table)
+        with pytest.raises(ValueError,
+                           match=f"^modulus must be >= 1, got {modulus}$"):
+            homogeneous_sum(WeightTuple(ws), 5, modulus)
+
     @settings(max_examples=300, deadline=None)
     @given(ws=st.one_of(
                st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
