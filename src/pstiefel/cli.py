@@ -17,10 +17,12 @@ a request past one is invalid input like any other ValueError.
 Exit codes: 0 for any successfully computed answer (including DISCREPANT
 claim checks and absent certificates), 1 for invalid input or a stdout
 closed before the report is written, 2 for an internal invariant
-violation or a failed verification suite. A call builds the parser of
-the subcommand its argv names and no other, about 0.27 ms where all nine
-take 1.5 ms (timeit on a 2-vCPU VM); help, an empty argv and unknown
-commands still get the full parser.
+violation or a failed verification suite. A plain argv (a known
+command, then each of its flags at most once by its full name) is read
+straight from COMMANDS by _parse_plain, with no parser built. Anything
+else goes to argparse, through the parser of the named subcommand alone,
+or the full parser for help, an empty argv and unknown commands, so
+every help, usage and error message is argparse's.
 """
 
 from __future__ import annotations
@@ -412,6 +414,8 @@ def _cmd_verify(args):
                               "passed": all(r.passed for r in results)}}
 
 
+_JSON = ("--json", {"action": "store_true",
+                   "help": "emit a JSON report on stdout"})
 _N = ("--n", {"type": int, "required": True})
 _WEIGHTS = ("--weights", {"required": True})
 _CERTIFICATE_ARGS = (_N, _WEIGHTS, ("--prime", {"type": int}),
@@ -422,7 +426,9 @@ _CERTIFICATE_ARGS = (_N, _WEIGHTS, ("--prime", {"type": int}),
 
 # One row per subcommand: name -> (handler, help text, arguments after
 # --json, each a flag and its add_argument options). build_parser adds
-# the rows it is asked for, in this order.
+# the rows it is asked for, in this order; _parse_plain reads a plain
+# argv from the same row, so an option may use only type=int, required,
+# default, help and action="store_true".
 COMMANDS = {
     "cohomology": (_cmd_cohomology,
                    "mod-p cohomology presentation of a quotient", (
@@ -481,11 +487,52 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (func, help_text, arguments) in rows:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON report on stdout")
-        for flag, options in arguments:
+        for flag, options in (_JSON, *arguments):
             p.add_argument(flag, **options)
     return parser
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser(argv[0]).parse_args(argv) returns, read
+    straight from the command's COMMANDS row, for a plain argv: a known
+    command, then each of its flags at most once by its full name, as
+    --flag value (a value not starting with -) or --flag=value, with
+    --json and store_true flags bare and every required flag given.
+    None for anything else, which argparse then parses, so help, usage
+    and every error still come from argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    row = dict((_JSON, *arguments))
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        options = row.get(flag)
+        if options is None or flag in given:
+            return None
+        if "action" in options:  # store_true, which takes no value
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")  # a missing value declines too
+            if value.startswith("-"):
+                return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        given[flag] = value
+    values = {"command": argv[0], "func": func}
+    for flag, options in row.items():
+        if flag not in given and options.get("required"):
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(
+            flag, options.get("default", False if "action" in options
+                              else None))
+    return argparse.Namespace(**values)
 
 
 @contextlib.contextmanager
@@ -508,8 +555,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = _bind_negative_weights(sys.argv[1:] if argv is None else argv)
     # help, an empty argv and unknown commands get the full parser
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    # parsed under the limit, so argparse still rejects huge integer flags
-    args = build_parser(command).parse_args(argv)
+    # parsed under the limit, so huge integer flags are still refused;
+    # argparse reads whatever the plain path declines
+    args = _parse_plain(argv) or build_parser(command).parse_args(argv)
     with _any_int_digits():
         try:
             lines, fields = args.func(args)

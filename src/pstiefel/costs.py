@@ -52,15 +52,25 @@ def require_at_most(what: str, value: int, cap: int) -> None:
         raise ValueError(f"{what} <= {cap}, got {value}")
 
 
+# The estimate of h_cap of cap_weights for each sums cap, computed once:
+# the checks below compare every request with one of these.
+_SUMS_CAP_BITS = {(cap, weights): bits(len(weights), cap, max(weights))
+                  for cap, weights in (
+                      (MAX_COMPLEMENT_N, CAP_WEIGHTS),
+                      (MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS),
+                      (MAX_LENS_D, LENS_CAP_WEIGHTS))}
+
+
 def require_small_sums(command: str, ell, r: int, cap: int,
                        cap_weights: tuple[int, ...] = CAP_WEIGHTS,
                        table: bool = True) -> None:
     """ValueError when h_r of the weights ell (and h_0..h_r, unless table
-    is False) costs more than h_cap of cap_weights; a negative r is left
-    to the caller. k weights up to L in size give |h_r| <= C(r + k - 1,
-    k - 1) L^r, so E sums of B bits take about k E B bit operations."""
+    is False) costs more than h_cap of cap_weights, a pair listed in
+    _SUMS_CAP_BITS; a negative r is left to the caller. k weights up to L
+    in size give |h_r| <= C(r + k - 1, k - 1) L^r, so E sums of B bits
+    take about k E B bit operations."""
     k, top, r = len(ell), max(map(abs, ell)), max(r, 0)
-    b, cap_b = bits(k, r, top), bits(len(cap_weights), cap, max(cap_weights))
+    b, cap_b = bits(k, r, top), _SUMS_CAP_BITS[cap, cap_weights]
     if _too_costly(b, r + 1 if table else 1, k,
                    cap_b, cap + 1 if table else 1, len(cap_weights)):
         raise ValueError(
@@ -101,13 +111,17 @@ def _series_size(n: int, l1: int, l2: int, T: int) -> tuple[float, int]:
     return bits(2 * n + 1, even - 1, top) + 1, even
 
 
+# the series at the cap, computed once
+_SERIES_CAP_SIZE = _series_size(MAX_SERIES_N, *SERIES_CAP_WEIGHTS,
+                                MAX_SERIES_N)
+
+
 def require_small_series(n: int, ell, T: int) -> None:
     """ValueError when the Pontrjagin series of n and two weights ell
     truncated at T costs more than at n = T = MAX_SERIES_N with
     SERIES_CAP_WEIGHTS, or is too large for the float estimate."""
     l1, l2 = ell
-    cap_b, cap_even = _series_size(MAX_SERIES_N, *SERIES_CAP_WEIGHTS,
-                                   MAX_SERIES_N)
+    cap_b, cap_even = _SERIES_CAP_SIZE
     try:
         b, even = _series_size(n, l1, l2, T)
     except OverflowError:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -245,7 +247,13 @@ def test_per_command_parser_answers_as_the_full_parser(capsys, monkeypatch,
     monkeypatch.setattr(cli, "build_parser", lambda command=None: (
         built.append(command) or build(command)))
     restricted = {" ".join(argv): _outcome(capsys, argv) for argv in cases}
-    assert built == [argv[0] for argv in cases[:-4]] + [None] * 4
+    # the plain path reads two of them: verify alone, and chern, whose one
+    # required flag is --weights; argparse gets the rest
+    plain = {"verify", "chern --weights -3,4"}
+    assert built == [argv[0] for argv in cases[:-4]
+                     if " ".join(argv) not in plain] + [None] * 4
+    # the full side is argparse alone
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
     monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
     full = {" ".join(argv): _outcome(capsys, argv) for argv in cases}
     assert restricted == full
@@ -256,6 +264,129 @@ def test_build_parser_adds_only_the_named_subcommand():
     assert len(full) == 9
     assert full == list(cli.COMMANDS)
     assert _subcommands(cli.build_parser("span")) == ["span"]
+
+
+# One plain argv per command; span also with negative weights in both
+# forms, and verify with the flag it reads
+PLAIN_ARGV = [
+    ["cohomology", "--n", "6", "--k", "2", "--weights", "1,2", "--prime", "3"],
+    ["chern", "--weights=1,-2,3", "--truncation", "5", "--json"],
+    ["pontrjagin", "--n", "7", "--weights", "1,2", "--modulus=5"],
+    ["span", "--n=7", "--weights=-3,4", "--prime", "7", "--json"],
+    ["span", "--n", "7", "--weights", "-3,4", "--prime", "7", "--json"],
+    ["immersion", "--weights", "1,2", "--n", "9", "--prime-bound=40"],
+    ["complement", "--n", "6", "--weights", "1,2,3", "--json"],
+    ["lens", "--d", "4", "--m", "6", "--weights", "1,3"],
+    ["check-claims", "--n", "6", "--weights", "1,2", "--json"],
+    ["verify", "--quick", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV, ids=" ".join)
+def test_plain_argv_needs_no_parser(capsys, monkeypatch, argv):
+    # the bytes argparse's namespace gives, with no parser built at all
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_parse_plain", lambda argv: None)
+        assert main(list(argv)) == 0
+        want = capsys.readouterr()
+
+    def no_parser(command=None):
+        raise AssertionError(f"parser built for {argv}")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr() == want
+
+
+def test_every_option_is_of_a_kind_the_plain_path_reads():
+    # _parse_plain knows these option kinds and no other; a new kind must
+    # fail here rather than parse differently from argparse
+    for _, _, arguments in cli.COMMANDS.values():
+        for flag, options in (cli._JSON, *arguments):
+            assert flag.startswith("--") and "=" not in flag
+            assert set(options) <= {"type", "required", "default", "help",
+                                    "action"}
+            assert options.get("type", int) is int
+            assert options.get("action", "store_true") == "store_true"
+            # argparse would convert a string default by its type
+            assert not isinstance(options.get("default"), str)
+
+
+_ALL_FLAGS = sorted({flag for _, _, arguments in cli.COMMANDS.values()
+                     for flag, _ in (cli._JSON, *arguments)})
+_ABBREVIATIONS = sorted({flag[:i] for flag in _ALL_FLAGS
+                         for i in range(3, len(flag))} - set(_ALL_FLAGS))
+_VALUES = ["7", "3", "0", "1,2", "1,8", "-3", "-3,4", "", "x", "+5",
+           "1_000", " 5", "5" * 5000]
+_STRAYS = ["-h", "--help", "--", "extra", "span", "-n", "--bogus"]
+
+
+def _one_in(draw, n):
+    return draw(st.sampled_from(range(n))) == n - 1
+
+
+def _groups(draw, flag, options):
+    """The tokens of one flag: bare, --flag=value or --flag value, with a
+    value that mostly fits."""
+    fits = ["7", "3"] if "type" in options else ["1,2", "7"]
+    value = draw(st.sampled_from(_VALUES if _one_in(draw, 8) else fits))
+    form = "bare" if ("action" in options) != _one_in(draw, 10) else \
+        draw(st.sampled_from(["=", "two"]))
+    return {"bare": [flag], "=": [f"{flag}={value}"],
+            "two": [flag, value]}[form]
+
+
+@st.composite
+def _argvs(draw):
+    """A command's argv, mostly plain: its own flags, each required one
+    nearly always, in any order and form, sometimes abbreviated or given
+    twice, and sometimes a stray flag or token from any command."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus"]))
+    row = (cli._JSON, *cli.COMMANDS.get(command, (0, 0, ()))[2])
+    groups = []
+    for flag, options in row:
+        if _one_in(draw, 12 if options.get("required") else 2):
+            continue
+        if _one_in(draw, 12):
+            flag = flag[:draw(st.sampled_from(range(3, len(flag) + 1)))]
+        groups.append(_groups(draw, flag, options))
+        if _one_in(draw, 20):
+            groups.append(groups[-1])
+    while _one_in(draw, 4):
+        if draw(st.booleans()):
+            groups.append([draw(st.sampled_from(_STRAYS))])
+        else:
+            flag = draw(st.sampled_from(_ALL_FLAGS + _ABBREVIATIONS))
+            groups.append(_groups(draw, flag, {}))
+    groups = draw(st.permutations(groups))
+    return [command] + [token for g in groups for token in g]
+
+
+def _argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    command = argv[0] if argv[0] in cli.COMMANDS else None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return vars(cli.build_parser(command).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+@example(argv=["verify", "--quick=7"])
+@example(argv=["verify", "--quick", "--json"])
+@example(argv=["span", "--n=7", "--weights", "-3,4", "--prime", "7"])
+@example(argv=["span", "--n", "7", "--wei=-3,4", "--prime", "7"])
+@example(argv=["pontrjagin", "--n", "5", "--weights", "1,2"])
+def test_plain_path_answers_as_argparse(argv):
+    # as main parses it, and as given, where --weights -3,4 stays two tokens
+    for tokens in (cli._bind_negative_weights(argv), argv):
+        plain = cli._parse_plain(list(tokens))
+        want = _argparse_namespace(list(tokens))
+        if plain is not None:
+            assert vars(plain) == want
 
 
 class TestInputErrors:
@@ -590,9 +721,10 @@ def test_module_entry_point():
      "MemoryError"),
 ])
 def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
-    # with the series cap lifted, these sizes reach the interpreter's own
-    # size errors; with it, they are refused first (see below)
-    lifted = ("import sys, pstiefel.costs as c; c.MAX_SERIES_N = 10 ** 30; "
+    # with the series check lifted, these sizes reach the interpreter's
+    # own size errors; with it, they are refused first (see below)
+    lifted = ("import sys, pstiefel.costs as c; "
+              "c.require_small_series = lambda n, ell, T: None; "
               "from pstiefel.cli import main; sys.exit(main())")
     proc = subprocess.run([sys.executable, "-c", lifted, *argv.split()],
                           capture_output=True, text=True, timeout=60)
