@@ -11,10 +11,9 @@ from .cohomology import (CohomologyPresentation, InvariantViolation,
                          check_presentation_invariants, nilpotency_order,
                          poincare_polynomial, presentation_mod2,
                          presentation_odd)
-from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, ClaimCheck,
-                       ClaimInstance, CriterionResult, ImmersionCertificate,
-                       LensParams, RankBoundReport, SpanCertificate,
-                       best_immersion_bound, best_span_bound,
+from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, Certificate,
+                       ClaimCheck, ClaimInstance, CriterionResult, LensParams,
+                       RankBoundReport, best_immersion_bound, best_span_bound,
                        check_immersion_theorem, check_span_theorem,
                        cp_complement_min_rank, immersion_certificate,
                        lens_rank_bound, lens_sq2_criterion, normal_pontrjagin,
@@ -30,16 +29,15 @@ __all__ = [
     "AGREE",
     "DISCREPANT",
     "NOT_APPLICABLE",
+    "Certificate",
     "ClaimCheck",
     "ClaimInstance",
     "CohomologyPresentation",
     "CriterionResult",
-    "ImmersionCertificate",
     "InvariantViolation",
     "LensParams",
     "PresentationCheck",
     "RankBoundReport",
-    "SpanCertificate",
     "StiefelParams",
     "TruncatedSeries",
     "WeightTuple",

@@ -37,17 +37,17 @@ from . import verify as verify_mod
 from .cohomology import (CohomologyPresentation, InvariantViolation,
                          StiefelParams, check_presentation_invariants,
                          presentation_mod2, presentation_odd)
-from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, LensParams,
-                       RankBoundReport, best_immersion_bound, best_span_bound,
-                       check_immersion_theorem, check_span_theorem,
-                       cp_complement_min_rank, immersion_certificate,
-                       lens_rank_bound, normal_pontrjagin, span_certificate,
+from .geometry import (CERTIFICATE_BASIS, NOT_APPLICABLE, Certificate,
+                       LensParams, RankBoundReport, best_immersion_bound,
+                       best_span_bound, check_immersion_theorem,
+                       check_span_theorem, cp_complement_min_rank,
+                       immersion_certificate, lens_rank_bound,
+                       normal_pontrjagin, span_certificate,
                        tangent_pontrjagin)
 from .weights import WeightTuple, complement_chern, total_chern
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
-# both certificate records' field order; only immersion has a claimed bound
-CERTIFICATE_KEYS = ("prime", "index", "witness", "bound", "claimed")
+CERTIFICATE_KEYS = Certificate._fields  # only immersion has a claimed bound
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -182,7 +182,10 @@ def _series_payload(series) -> dict:
 
 
 def _certificate_payload(cert) -> dict:
-    return dict(zip(CERTIFICATE_KEYS, cert), basis=CERTIFICATE_BASIS)
+    payload = dict(zip(CERTIFICATE_KEYS, cert), basis=CERTIFICATE_BASIS)
+    if cert.claimed is None:
+        del payload["claimed"]
+    return payload
 
 
 def _rank_report(rep: RankBoundReport, params: dict):
@@ -305,15 +308,14 @@ def _cmd_certificates(args):
     letter = "i" if span else "j"
 
     def claim(c):
-        if span:
-            return f"span <= {c.span_bound}"
-        return f"no immersion into R^{c.certified_dim}"
+        return (f"span <= {c.bound}" if span
+                else f"no immersion into R^{c.bound}")
 
     def bounds(c):
         if span:
-            return {"span_bound": c and c.span_bound}
-        return {"certified_non_immersion_dim": c and c.certified_dim,
-                "claimed_dim": c and c.claimed_dim}
+            return {"span_bound": c and c.bound}
+        return {"certified_non_immersion_dim": c and c.bound,
+                "claimed_dim": c and c.claimed}
 
     if args.prime is not None and args.prime_bound is not None:
         raise ValueError("give --prime or --prime-bound, not both")
@@ -329,7 +331,7 @@ def _cmd_certificates(args):
         result = bounds(cert)
         if cert:
             sep = (", " if span else " (certified); claimed-form dimension "
-                   f"{cert.claimed_dim}; ")
+                   f"{cert.claimed}; ")
             lines = [f"{claim(cert)}{sep}certificate p={cert.prime} "
                      f"{letter}={cert.index} w={cert.witness}"]
         else:

@@ -85,8 +85,8 @@ class PresentationCheck(namedtuple(
         "PresentationCheck", "top_degree expected_top_degree total_rank "
         "expected_rank palindromic poincare")):
     """Outcome of the dimension/rank/palindromicity invariants. poincare,
-    the coefficients checked, is kept out of the repr (so out of failure
-    messages) and out of equality and hash."""
+    the coefficients checked, is a list, so the record is unhashable, and
+    it is kept out of the repr, so out of failure messages."""
 
     __slots__ = ()
 
@@ -94,19 +94,6 @@ class PresentationCheck(namedtuple(
         return ("PresentationCheck(top_degree={!r}, expected_top_degree={!r}, "
                 "total_rank={!r}, expected_rank={!r}, palindromic={!r})"
                 .format(*self[:5]))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:5] == other[:5]
-
-    def __ne__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:5] != other[:5]
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
 
     @property
     def passed(self) -> bool:

@@ -52,25 +52,29 @@ def require_at_most(what: str, value: int, cap: int) -> None:
         raise ValueError(f"{what} <= {cap}, got {value}")
 
 
-# The estimate of h_cap of cap_weights for each sums cap, computed once:
-# the checks below compare every request with one of these.
-_SUMS_CAP_BITS = {(cap, weights): bits(len(weights), cap, max(weights))
-                  for cap, weights in (
-                      (MAX_COMPLEMENT_N, CAP_WEIGHTS),
-                      (MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS),
-                      (MAX_LENS_D, LENS_CAP_WEIGHTS))}
+# Each command's sums cap: (cap, cap weights, whether it builds the table
+# h_0..h_r or h_r alone, the estimate of h_cap of the cap weights, computed
+# once), for require_small_sums to compare every request with.
+_SUMS_CAPS = {command: (cap, weights, table,
+                        bits(len(weights), cap, max(weights)))
+              for command, cap, weights, table in (
+                  ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
+                  ("chern", MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS, True),
+                  # the nilpotency scan's table, up to n - k + 1
+                  ("cohomology", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
+                  # h_d comes from the two-weight closed form, not a table
+                  ("lens", MAX_LENS_D, LENS_CAP_WEIGHTS, False))}
 
 
-def require_small_sums(command: str, ell, r: int, cap: int,
-                       cap_weights: tuple[int, ...] = CAP_WEIGHTS,
-                       table: bool = True) -> None:
-    """ValueError when h_r of the weights ell (and h_0..h_r, unless table
-    is False) costs more than h_cap of cap_weights, a pair listed in
-    _SUMS_CAP_BITS; a negative r is left to the caller. k weights up to L
-    in size give |h_r| <= C(r + k - 1, k - 1) L^r, so E sums of B bits
-    take about k E B bit operations."""
+def require_small_sums(command: str, ell, r: int) -> None:
+    """ValueError when h_r of the weights ell (and h_0..h_r, when the
+    command builds a table) costs more than the command's cap in
+    _SUMS_CAPS allows; a negative r is left to the caller. k weights up
+    to L in size give |h_r| <= C(r + k - 1, k - 1) L^r, so E sums of B
+    bits take about k E B bit operations."""
+    cap, cap_weights, table, cap_b = _SUMS_CAPS[command]
     k, top, r = len(ell), max(map(abs, ell)), max(r, 0)
-    b, cap_b = bits(k, r, top), _SUMS_CAP_BITS[cap, cap_weights]
+    b = bits(k, r, top)
     if _too_costly(b, r + 1 if table else 1, k,
                    cap_b, cap + 1 if table else 1, len(cap_weights)):
         raise ValueError(
@@ -99,7 +103,7 @@ def require_presentation(n: int, k: int, ell) -> None:
             f"cohomology needs an estimated packed size <= "
             f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} (n = {n}, k = {k})")
     if k >= 3:
-        require_small_sums("cohomology", ell, n - k + 1, MAX_COMPLEMENT_N)
+        require_small_sums("cohomology", ell, n - k + 1)
 
 
 def _series_size(n: int, l1: int, l2: int, T: int) -> tuple[float, int]:

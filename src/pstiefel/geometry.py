@@ -55,11 +55,11 @@ DISCREPANT = "DISCREPANT"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 
-def _require_two_frames(ell: WeightTuple, n: int | None = None) -> None:
+def _require_two_frames(ell: WeightTuple, n: int) -> None:
     if len(ell) != 2:
         raise ValueError(
             f"Pontrjagin computations need exactly two weights, got {len(ell)}")
-    if n is not None and n < 2:
+    if n < 2:
         raise ValueError(f"need n >= 2 for two frames, got {n}")
 
 
@@ -91,43 +91,27 @@ def normal_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
     return _pontrjagin(n, ell, modulus, truncation, -1)
 
 
-class SpanCertificate(namedtuple("SpanCertificate",
-                                 "prime index witness span_bound")):
-    """Witness that span <= span_bound: p_index(tau) = witness * x^{2*index}."""
+class Certificate(namedtuple("Certificate",
+                             "prime index witness bound claimed",
+                             defaults=(None,))):
+    """Witness p_index = witness * x^{2*index} != 0 mod prime. For span, of
+    the tangent series: span <= bound. For immersion, of the normal series:
+    bound is the largest euclidean dimension the vanishing rule itself
+    excludes, and claimed = bound + 1 the sharper closed-form assertion
+    recorded for comparison (None for span)."""
 
     __slots__ = ()
 
-    def __new__(cls, prime: int, index: int, witness: int, span_bound: int):
+    def __new__(cls, prime: int, index: int, witness: int, bound: int,
+                claimed: int | None = None):
         if not witness:
-            raise InvariantViolation("span certificate with zero witness")
+            raise InvariantViolation("certificate with zero witness")
         if index < 1:
-            raise InvariantViolation("span certificate needs index >= 1")
-        return tuple.__new__(cls, (prime, index, witness, span_bound))
-
-
-class ImmersionCertificate(namedtuple(
-        "ImmersionCertificate",
-        "prime index witness certified_dim claimed_dim")):
-    """Witness of non-immersion: p_index(nu) nonzero mod prime.
-
-    certified_dim is the largest euclidean dimension the vanishing rule
-    itself excludes; claimed_dim = certified_dim + 1 is the sharper
-    closed-form assertion recorded for comparison.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, prime: int, index: int, witness: int,
-                certified_dim: int, claimed_dim: int):
-        if not witness:
-            raise InvariantViolation("immersion certificate with zero witness")
-        if index < 1:
-            raise InvariantViolation("immersion certificate needs index >= 1")
-        if certified_dim != claimed_dim - 1:
+            raise InvariantViolation("certificate needs index >= 1")
+        if claimed is not None and claimed != bound + 1:
             raise InvariantViolation(
-                "certified dimension must be one below the claimed one")
-        return tuple.__new__(
-            cls, (prime, index, witness, certified_dim, claimed_dim))
+                "certified bound must be one below the claimed dimension")
+        return tuple.__new__(cls, (prime, index, witness, bound, claimed))
 
 
 def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
@@ -168,21 +152,21 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
 
 def span_certificate(n: int, ell: WeightTuple, p: int,
                      series: TruncatedSeries | None = None
-                     ) -> SpanCertificate | None:
+                     ) -> Certificate | None:
     """Best direct span bound mod p, from the integer tangent series
     (tangent_pontrjagin(n, ell), built here unless given)."""
     return _certificate(n, ell, p, tangent_pontrjagin, series, lambda i, w:
-                        SpanCertificate(p, i, w, (4 * n - 5) - 2 * i))
+                        Certificate(p, i, w, (4 * n - 5) - 2 * i))
 
 
 def immersion_certificate(n: int, ell: WeightTuple, p: int,
                           series: TruncatedSeries | None = None
-                          ) -> ImmersionCertificate | None:
+                          ) -> Certificate | None:
     """Best direct non-immersion bound mod p, from the integer normal
     series (normal_pontrjagin(n, ell), built here unless given)."""
     return _certificate(n, ell, p, normal_pontrjagin, series, lambda j, w:
-                        ImmersionCertificate(p, j, w, (4 * n - 6) + 2 * j,
-                                             (4 * n - 5) + 2 * j))
+                        Certificate(p, j, w, (4 * n - 6) + 2 * j,
+                                    (4 * n - 5) + 2 * j))
 
 
 class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
@@ -219,7 +203,7 @@ def best_span_bound(n: int, ell: WeightTuple, prime_bound: int) -> Sweep:
     """Sweep odd primes <= prime_bound; best = smallest span bound,
     ties going to the smallest prime."""
     return _sweep(n, ell, prime_bound, span_certificate, tangent_pontrjagin,
-                  lambda c: (c.span_bound, c.prime))
+                  lambda c: (c.bound, c.prime))
 
 
 def best_immersion_bound(n: int, ell: WeightTuple,
@@ -227,7 +211,7 @@ def best_immersion_bound(n: int, ell: WeightTuple,
     """Sweep odd primes <= prime_bound; best = largest certified dimension,
     ties going to the smallest prime."""
     return _sweep(n, ell, prime_bound, immersion_certificate,
-                  normal_pontrjagin, lambda c: (-c.certified_dim, c.prime))
+                  normal_pontrjagin, lambda c: (-c.bound, c.prime))
 
 
 class ClaimInstance(namedtuple(
@@ -401,7 +385,7 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     costs.require_at_most("complement needs n", n, costs.MAX_COMPLEMENT_N)
-    costs.require_small_sums("complement", ell, n, costs.MAX_COMPLEMENT_N)
+    costs.require_small_sums("complement", ell, n)
     hs = homogeneous_sums(ell, n)
     surviving = [i for i in range(1, n + 1) if hs[i] != 0]
     lower = max(surviving, default=0)
@@ -431,9 +415,7 @@ class LensParams(namedtuple("LensParams", "d m l1 l2")):
             raise ValueError(f"need m >= 2, got {m}")
         if math.gcd(l1, l2) != 1:
             raise ValueError(f"weights ({l1}, {l2}) must be coprime")
-        # h_d comes from the two-weight closed form, not a table
-        costs.require_small_sums("lens", (l1, l2), d, costs.MAX_LENS_D,
-                                 costs.LENS_CAP_WEIGHTS, table=False)
+        costs.require_small_sums("lens", (l1, l2), d)
         return tuple.__new__(cls, (d, m, l1, l2))
 
 

@@ -81,6 +81,12 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs modulus")):
 
     __mul__ = mul
 
+    def _not_a_tuple(self, other):
+        # tuple's + and int * would concatenate or repeat the record
+        raise TypeError("a series has no + and no repetition; * is the product")
+
+    __add__ = __radd__ = __rmul__ = _not_a_tuple
+
     def _terms(self) -> list[tuple[int, int]]:
         return [(i, c) for i, c in enumerate(self.coeffs) if c]
 

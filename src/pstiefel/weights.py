@@ -116,7 +116,7 @@ def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:
 def total_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:
     """Total Chern series prod_j (1 + l_j x), exact over Z."""
     require_at_most("chern needs truncation", truncation, MAX_CHERN_TRUNCATION)
-    require_small_sums("chern", ell, truncation - 1, MAX_CHERN_TRUNCATION - 1)
+    require_small_sums("chern", ell, truncation - 1)
     out = TruncatedSeries.one(truncation)
     for w in ell:
         out = out.mul(TruncatedSeries([1, w], truncation))

@@ -63,10 +63,10 @@ def test_criterion_06_span_instance_with_runtime_budget():
     start = time.perf_counter()
     cert = span_certificate(7, WeightTuple((1, 2)), 7)
     elapsed = time.perf_counter() - start
-    assert (cert.prime, cert.index, cert.span_bound) == (7, 2, 19)
+    assert (cert.prime, cert.index, cert.bound) == (7, 2, 19)
     assert cert.witness == 1
     n = 7
-    assert cert.span_bound == 4 * n - 5 - 2 * ((n - 2) // 2)
+    assert cert.bound == 4 * n - 5 - 2 * ((n - 2) // 2)
     assert elapsed < 1.0
     _report(6, f"span <= 19 certified in {elapsed * 1000:.1f} ms")
 
@@ -82,9 +82,9 @@ def test_criterion_07_immersion_instance_closed_form_index():
     assert inst.claimed - 1 == 30
     assert inst.verdict == AGREE
     direct = immersion_certificate(8, WeightTuple((1, 8)), 7)
-    assert direct.certified_dim >= inst.claimed - 1
+    assert direct.bound >= inst.claimed - 1
     _report(7, "non-immersion in R^30 witnessed by 3 at index 2 "
-               f"(direct scan certifies R^{direct.certified_dim})")
+               f"(direct scan certifies R^{direct.bound})")
 
 
 def test_criterion_08_projective_complement_ranks():

@@ -936,17 +936,12 @@ def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
     # checked at the largest r each command accepts; the estimate grows
     # with r, so every smaller size passes too
     ell = weights.WeightTuple(ws)
-    costs.require_small_sums("complement", ell, costs.MAX_COMPLEMENT_N,
-                             costs.MAX_COMPLEMENT_N, costs.CAP_WEIGHTS)
-    costs.require_small_sums("chern", ell, costs.MAX_CHERN_TRUNCATION - 1,
-                             costs.MAX_CHERN_TRUNCATION - 1, costs.CAP_WEIGHTS)
+    costs.require_small_sums("complement", ell, costs.MAX_COMPLEMENT_N)
+    costs.require_small_sums("chern", ell, costs.MAX_CHERN_TRUNCATION - 1)
     if len(ws) == 3:
-        costs.require_small_sums("cohomology", ell, costs.MAX_COMPLEMENT_N - 2,
-                                 costs.MAX_COMPLEMENT_N, costs.CAP_WEIGHTS)
+        costs.require_small_sums("cohomology", ell, costs.MAX_COMPLEMENT_N - 2)
     if len(ws) == 2 and max(map(abs, ws)) <= 2:
-        costs.require_small_sums("lens", ell, costs.MAX_LENS_D,
-                                 costs.MAX_LENS_D, costs.LENS_CAP_WEIGHTS,
-                                 table=False)
+        costs.require_small_sums("lens", ell, costs.MAX_LENS_D)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -8,8 +8,7 @@ import pstiefel.geometry as geometry
 import pstiefel.ring as ring
 from pstiefel.cohomology import InvariantViolation, StiefelParams
 from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
-                               ImmersionCertificate, LensParams,
-                               SpanCertificate, best_immersion_bound,
+                               Certificate, LensParams, best_immersion_bound,
                                best_span_bound, check_immersion_theorem,
                                check_span_theorem, cp_complement_min_rank,
                                immersion_certificate, lens_rank_bound,
@@ -63,7 +62,7 @@ class TestPontrjaginSeries:
 class TestSpanCertificates:
     def test_pinned_instance(self):
         cert = span_certificate(7, W(1, 2), 7)
-        assert (cert.prime, cert.index, cert.span_bound) == (7, 2, 19)
+        assert (cert.prime, cert.index, cert.bound) == (7, 2, 19)
         assert cert.witness == 1
 
     def test_takes_largest_admissible_index(self):
@@ -83,19 +82,19 @@ class TestSpanCertificates:
 
     def test_certificate_invariants_enforced(self):
         with pytest.raises(InvariantViolation, match="zero witness"):
-            SpanCertificate(7, 2, 0, 19)
+            Certificate(7, 2, 0, 19)
         with pytest.raises(InvariantViolation, match="index >= 1"):
-            SpanCertificate(7, 0, 1, 23)
+            Certificate(7, 0, 1, 23)
+        assert Certificate(7, 2, 1, 19).claimed is None
 
     def test_sweep_pinned(self):
         sweep = best_span_bound(7, W(1, 2), 50)
         assert len(sweep.certificates) == 14
         best = sweep.best
-        assert (best.prime, best.index, best.span_bound) == (5, 2, 19)
+        assert (best.prime, best.index, best.bound) == (5, 2, 19)
         assert best.witness == 4
         # every certificate gives a valid bound; the best is minimal
-        assert all(c.span_bound >= best.span_bound
-                   for c in sweep.certificates)
+        assert all(c.bound >= best.bound for c in sweep.certificates)
 
     def test_sweep_can_be_empty(self):
         assert best_span_bound(3, W(1, -1), 50).certificates == ()
@@ -105,27 +104,34 @@ class TestSpanCertificates:
 class TestImmersionCertificates:
     def test_pinned_instance(self):
         cert = immersion_certificate(8, W(1, 8), 7)
-        assert (cert.index, cert.certified_dim, cert.claimed_dim) == (3, 32, 33)
+        assert (cert.index, cert.bound, cert.claimed) == (3, 32, 33)
         assert cert.witness == 4
 
     def test_low_index_instance(self):
         cert = immersion_certificate(7, W(1, 4), 3)
-        assert (cert.index, cert.certified_dim, cert.claimed_dim) == (1, 24, 25)
+        assert (cert.index, cert.bound, cert.claimed) == (1, 24, 25)
         assert cert.witness == 2
 
     def test_absence(self):
         assert immersion_certificate(2, W(1, 1), 3) is None
 
     def test_certificate_invariants_enforced(self):
-        with pytest.raises(InvariantViolation, match="one below"):
-            ImmersionCertificate(7, 2, 3, 30, 33)
+        # claimed must be bound + 1, neither further off nor equal
+        for claimed in (33, 30, 29):
+            with pytest.raises(InvariantViolation, match="one below"):
+                Certificate(7, 2, 3, 30, claimed)
+        with pytest.raises(InvariantViolation, match="zero witness"):
+            Certificate(7, 2, 0, 30, 31)
+        with pytest.raises(InvariantViolation, match="index >= 1"):
+            Certificate(7, 0, 3, 30, 31)
+        assert Certificate(7, 2, 3, 30, 31).claimed == 31
 
     def test_sweep_pinned(self):
         sweep = best_immersion_bound(8, W(1, 8), 50)
         best = sweep.best
-        assert (best.prime, best.index, best.certified_dim) == (3, 3, 32)
+        assert (best.prime, best.index, best.bound) == (3, 3, 32)
         assert best.witness == 2
-        assert all(c.certified_dim <= best.certified_dim
+        assert all(c.bound <= best.bound
                    for c in sweep.certificates)
 
     def test_sweep_excludes_vacuous_index_zero(self):
@@ -133,7 +139,7 @@ class TestImmersionCertificates:
         assert sweep.certificates
         assert all(c.index >= 1 for c in sweep.certificates)
         best = sweep.best
-        assert (best.prime, best.index, best.certified_dim) == (3, 1, 12)
+        assert (best.prime, best.index, best.bound) == (3, 1, 12)
 
     def test_sweep_empty_below_first_odd_prime(self):
         assert best_immersion_bound(8, W(1, 8), 2).certificates == ()
@@ -295,7 +301,7 @@ class TestImmersionClaimChecker:
         check = check_immersion_theorem(8, W(1, 8))
         inst = check.instances[0]
         cert = immersion_certificate(8, W(1, 8), inst.prime)
-        assert cert.certified_dim >= inst.claimed - 1
+        assert cert.bound >= inst.claimed - 1
 
 
 class TestComplementRank:

@@ -1,6 +1,7 @@
-"""The value types: immutable tuple records that equal and hash as the plain
-tuple of their fields, copy and pickle, and have a Name(field=value, ...)
-repr; and an import that generates no code for them."""
+"""The value types: immutable tuple records that equal the plain tuple of
+their fields and hash as it unless they hold a list, copy and pickle, and
+have a Name(field=value, ...) repr; and an import that generates no code
+for them."""
 
 import copy
 import pickle
@@ -11,19 +12,22 @@ import pytest
 
 from pstiefel.cohomology import (CohomologyPresentation, PresentationCheck,
                                  StiefelParams)
-from pstiefel.geometry import (ClaimCheck, ClaimInstance, CriterionResult,
-                               ImmersionCertificate, LensParams,
-                               RankBoundReport, SpanCertificate, Sweep)
+from pstiefel.geometry import (Certificate, ClaimCheck, ClaimInstance,
+                               CriterionResult, LensParams, RankBoundReport,
+                               Sweep)
 from pstiefel.series import TruncatedSeries
 from pstiefel.verify import SuiteResult
 from pstiefel.weights import WeightTuple
 
 W = WeightTuple((1, 2))
-SPAN = SpanCertificate(3, 1, 2, 5)
+SPAN = Certificate(3, 1, 2, 5)
+# SuiteResult's failures and PresentationCheck's poincare are lists
+UNHASHABLE = ("SuiteResult", "PresentationCheck")
 INSTANCE = ClaimInstance(3, 1, (("p divides n", True),), 1, True, 2, 5,
                          "AGREE")
 
-# (factory, a field to assign, the repr)
+# A case names its type, then an optional "-" and variant: (factory, a
+# field to assign, the repr).
 RECORDS = {
     "StiefelParams": (
         lambda: StiefelParams(4, 2, WeightTuple((1, 2))), "n",
@@ -37,19 +41,18 @@ RECORDS = {
         "poincare",
         "PresentationCheck(top_degree=3, expected_top_degree=3, "
         "total_rank=4, expected_rank=4, palindromic=True)"),
-    "SpanCertificate": (
-        lambda: SpanCertificate(3, 1, 2, 5), "witness",
-        "SpanCertificate(prime=3, index=1, witness=2, span_bound=5)"),
-    "ImmersionCertificate": (
-        lambda: ImmersionCertificate(3, 1, 2, 6, 7), "claimed_dim",
-        "ImmersionCertificate(prime=3, index=1, witness=2, certified_dim=6, "
-        "claimed_dim=7)"),
+    "Certificate-span": (
+        lambda: Certificate(3, 1, 2, 5), "witness",
+        "Certificate(prime=3, index=1, witness=2, bound=5, claimed=None)"),
+    "Certificate-immersion": (
+        lambda: Certificate(3, 1, 2, 6, 7), "claimed",
+        "Certificate(prime=3, index=1, witness=2, bound=6, claimed=7)"),
     "Sweep": (
         lambda: Sweep(7, W, 28, (SPAN,), SPAN), "best",
         "Sweep(n=7, ell=WeightTuple(weights=(1, 2)), prime_bound=28, "
-        "certificates=(SpanCertificate(prime=3, index=1, witness=2, "
-        "span_bound=5),), best=SpanCertificate(prime=3, index=1, witness=2, "
-        "span_bound=5))"),
+        "certificates=(Certificate(prime=3, index=1, witness=2, bound=5, "
+        "claimed=None),), best=Certificate(prime=3, index=1, witness=2, "
+        "bound=5, claimed=None))"),
     "ClaimInstance": (
         lambda: ClaimInstance(3, 1, (("p divides n", True),), 1, True, 2, 5,
                               "AGREE"), "verdict",
@@ -91,15 +94,14 @@ RECORDS = {
 def test_records_are_immutable_values(name):
     make, field, text = RECORDS[name]
     a, b = make(), make()
-    assert type(a).__name__ == name
+    assert type(a).__name__ == name.partition("-")[0]
     assert a == b and not a != b
     assert repr(a) == text
-    if name == "SuiteResult":
-        # its failures are a list, so it stays unhashable
+    if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
     else:
-        assert hash(a) == hash(b)
+        assert hash(a) == hash(b) == hash(tuple(a))
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
     with pytest.raises(AttributeError):
@@ -109,9 +111,6 @@ def test_records_are_immutable_values(name):
         assert type(c) is type(a) and c == a
     plain = tuple(a)
     assert type(plain) is tuple and a == plain and plain == a
-    # SuiteResult's failures and PresentationCheck's poincare are lists
-    if name not in ("SuiteResult", "PresentationCheck"):
-        assert hash(a) == hash(plain)
 
 
 def test_importing_the_cli_generates_no_record_code():

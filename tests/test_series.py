@@ -171,6 +171,15 @@ class TestMul:
         with pytest.raises(ValueError, match="modulus mismatch"):
             S((1,), 3, 5) * S((1,), 3)
 
+    def test_tuple_arithmetic_is_refused(self):
+        # a series is a tuple record, but + and int * would concatenate
+        # or repeat it; * between series is the product
+        s, t = S((1, 2), 3), S((1, 1), 3)
+        for expression in (lambda: s + t, lambda: (1,) + s, lambda: 3 * s):
+            with pytest.raises(TypeError, match="no repetition"):
+                expression()
+        assert s * t == S((1, 3, 2), 3)
+
 
 class TestInv:
     def test_geometric_series(self):
