@@ -107,7 +107,7 @@ def _bind_negative_weights(argv: list[str]) -> list[str]:
 RENDER_CHUNK = 1024
 
 
-def _render(obj, indent: str = "\n") -> str:
+def _render(obj) -> str:
     """JSON text of a report whose every int prints as a quoted decimal:
     sorted keys, two-space indentation, "," and ": " as separators, ASCII
     strings. A list of plain ints is joined in chunks of RENDER_CHUNK;
@@ -115,7 +115,7 @@ def _render(obj, indent: str = "\n") -> str:
     type raises TypeError. Every piece goes to one list, joined once, so
     a report of long int lists peaks at about twice its length."""
     pieces = []
-    _emit(obj, indent, pieces.append)
+    _emit(obj, "\n", pieces.append)
     return "".join(pieces)
 
 
@@ -244,14 +244,9 @@ def _cmd_cohomology(args):
         "mod2_square_relations": pres.mod2_square_relations,
         "presentation": pres.describe(),
         "poincare_coefficients": check.poincare,
-        "invariants": {
-            "top_degree": check.top_degree,
-            "expected_top_degree": check.expected_top_degree,
-            "total_rank": check.total_rank,
-            "expected_rank": check.expected_rank,
-            "palindromic": check.palindromic,
-            "passed": check.passed,
-        },
+        # every field of the check but the last, its poincare list
+        "invariants": dict(zip(check._fields[:-1], check),
+                           passed=check.passed),
     }
     lines = [
         pres.describe(),

@@ -22,12 +22,12 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from itertools import accumulate, repeat
-from operator import lshift, mod, mul, or_
+from itertools import repeat
+from operator import lshift, or_
 
 from .costs import require_presentation
 from .ring import require_prime
-from .weights import WeightTuple, homogeneous_sum
+from .weights import WeightTuple, homogeneous_sum, homogeneous_sums
 
 
 class InvariantViolation(RuntimeError):
@@ -111,12 +111,11 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
 
     Two weights read each h_r mod p from homogeneous_sum's closed form,
     by powers mod p |l1 - l2|, so n of 400 digits costs a few modular
-    powers rather than two integers of n bits. Any other count reads only
-    the first index from homogeneous_sum, one table up to n - k + 1,
-    which settles the usual one-step scan; a longer scan goes on in one
-    pass over the degrees (_later_residues) instead of one table per
-    step, so the 125 steps of n = 250, k = 125 all-ones at p = 5 take
-    about 5 ms, where 125 tables took 0.43 s.
+    powers rather than two integers of n bits. Any other count reads the
+    first index from homogeneous_sum, one table mod p up to n - k + 1,
+    which settles the usual one-step scan; a longer scan reads the rest
+    of the window from one table mod p up to n, homogeneous_sums(ell, n,
+    p), not one table per step.
     """
     require_prime(p)
     ell, window = params.ell, range(params.n - params.k + 1, params.n + 1)
@@ -125,28 +124,13 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
         if homogeneous_sum(ell, r, p):
             return r
     if not closed_form:
-        for r, h in zip(window[1:], _later_residues(ell, window, p)):
-            if h:
+        hs = homogeneous_sums(ell, window[-1], p)
+        for r in window[1:]:
+            if hs[r]:
                 return r
     raise InvariantViolation(
         f"no transgression found for {params} mod {p}; "
         "finite-dimensionality forces one in the window")
-
-
-def _later_residues(ell: WeightTuple, window: range, p: int):
-    """h_r(ell) mod p for each r in window[1:], computed as they are read.
-
-    One pass over the degrees keeps the column col[i] = h_r(l_1..l_i)
-    mod p and moves it up one degree by h_r(l_1..l_i) =
-    h_r(l_1..l_{i-1}) + l_i * h_{r-1}(l_1..l_i): k products per degree,
-    where a table per r costs k * r.
-    """
-    ws, ps = [w % p for w in ell], repeat(p)
-    col = [1] * len(ws)
-    for r in range(1, window[-1] + 1):
-        col = list(map(mod, accumulate(map(mul, ws, col)), ps))
-        if r > window[0]:
-            yield col[-1]
 
 
 def presentation_odd(params: StiefelParams, p: int) -> CohomologyPresentation:

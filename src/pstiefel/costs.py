@@ -3,6 +3,7 @@ runs on its input before its first table, series or scan.
 
     limit                 value    at the limit, cap weights, 2-vCPU VM
     MAX_COMPLEMENT_N      50,000   h-table of Theta(n^2) bits: 0.55 s, 276 MB
+                                   (and cohomology, k >= 3: conservative)
     MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON
     MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s
     MAX_LENS_D            10^6     h_d's digits under --json: 1.4 s
@@ -60,7 +61,8 @@ _SUMS_CAPS = {command: (cap, weights, table,
               for command, cap, weights, table in (
                   ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
                   ("chern", MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS, True),
-                  # the nilpotency scan's table, up to n - k + 1
+                  # sized for an exact table up to n - k + 1; the scan's
+                  # tables are mod p, so this is conservative
                   ("cohomology", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
                   # h_d comes from the two-weight closed form, not a table
                   ("lens", MAX_LENS_D, LENS_CAP_WEIGHTS, False))}
@@ -94,7 +96,8 @@ def packed_poincare_bytes(n: int, k: int) -> int:
 def require_presentation(n: int, k: int, ell) -> None:
     """The caps of a cohomology presentation: its packed size, which at
     k ~ n/2 grows about as n^3 and its cost as n^4, and for k >= 3 the
-    h-table of the nilpotency scan, up to n - k + 1, as for complement."""
+    complement caps on the nilpotency scan's first table, up to n - k + 1,
+    conservative since that table is mod p."""
     if k >= 3:
         require_at_most("cohomology with k >= 3 needs n", n, MAX_COMPLEMENT_N)
     size = packed_poincare_bytes(n, k)

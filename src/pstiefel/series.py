@@ -59,6 +59,9 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs modulus")):
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(
+                f"expected a TruncatedSeries, got {type(other).__name__}")
         if self.truncation != other.truncation:
             raise ValueError(
                 f"truncation mismatch: {self.truncation} vs {other.truncation}")

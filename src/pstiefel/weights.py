@@ -52,18 +52,31 @@ class WeightTuple(tuple):
         return f"WeightTuple(weights={tuple(self)!r})"
 
 
-def homogeneous_sums(ell: WeightTuple, r: int) -> list[int]:
-    """The table [h_0, ..., h_r] of complete homogeneous sums, exact over Z.
+def homogeneous_sums(ell: WeightTuple, r: int,
+                     modulus: int | None = None) -> list[int]:
+    """The table [h_0, ..., h_r] of complete homogeneous sums, exact over
+    Z, or with every entry, h_0 included, reduced mod a positive modulus
+    as it is built.
 
     Adding one weight l at a time: h_r(..., l) = h_r(...) + l*h_{r-1}(..., l),
     so an in-place ascending sweep over r does the whole table.
     """
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     if r < 0:
         raise ValueError(f"negative degree {r}")
-    hs = [1] + [0] * r
+    if modulus is None:
+        hs = [1] + [0] * r
+        for w in ell:
+            for i in range(1, r + 1):
+                hs[i] += w * hs[i - 1]
+        return hs
+    hs = [1 % modulus] + [0] * r
     for w in ell:
+        w %= modulus
+        h = hs[0]
         for i in range(1, r + 1):
-            hs[i] += w * hs[i - 1]
+            h = hs[i] = (hs[i] + w * h) % modulus
     return hs
 
 
@@ -73,14 +86,13 @@ def homogeneous_sum(ell: WeightTuple, r: int,
     positive modulus m: for two, the closed form (l1^{r+1} - l2^{r+1}) /
     (l1 - l2), or (r+1) * l1^r at l1 = l2 (Macdonald, Symmetric Functions
     and Hall Polynomials, I.2); for any other count, the last entry of
-    homogeneous_sums(ell, r). Two weights mod m take powers mod
+    homogeneous_sums(ell, r, m). Two weights mod m take powers mod
     m * |l1 - l2|, whose difference l1 - l2 divides exactly, so no
     integer of about r log max|l| bits is built."""
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if len(ell) != 2:
-        h = homogeneous_sums(ell, r)[r]
-        return h if modulus is None else h % modulus
+        return homogeneous_sums(ell, r, modulus)[r]
     if r < 0:
         raise ValueError(f"negative degree {r}")
     l1, l2 = ell

@@ -101,17 +101,22 @@ class TestNilpotencyOrder:
                 assert nilpotency_order(pr, p) == want
 
     def test_long_scan_builds_one_table(self, monkeypatch):
-        # one table up to the window's first index, then one degree per
-        # step; rebuilding the table for each step took 125 of them
+        # the window's first index from homogeneous_sum, then one table
+        # mod p up to n for the rest; a table for each step took 125
         calls = []
 
-        def counted(ell, r, modulus=None):
-            calls.append(r)
-            return homogeneous_sum(ell, r, modulus)
+        def counted(name, fn):
+            def call(ell, r, modulus=None):
+                calls.append((name, r, modulus))
+                return fn(ell, r, modulus)
+            return call
 
-        monkeypatch.setattr(cohomology, "homogeneous_sum", counted)
+        monkeypatch.setattr(cohomology, "homogeneous_sum",
+                            counted("sum", homogeneous_sum))
+        monkeypatch.setattr(cohomology, "homogeneous_sums",
+                            counted("sums", homogeneous_sums))
         assert nilpotency_order(params(250, 125, (1,) * 125), 5) == 250
-        assert calls == [126]
+        assert calls == [("sum", 126, 5), ("sums", 250, 5)]
 
     @settings(max_examples=200, deadline=None)
     @given(ws=st.lists(st.integers(-9, 9), min_size=3, max_size=6),

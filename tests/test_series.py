@@ -178,6 +178,12 @@ class TestMul:
         for expression in (lambda: s + t, lambda: (1,) + s, lambda: 3 * s):
             with pytest.raises(TypeError, match="no repetition"):
                 expression()
+        # a product, quotient or inverse of a series and a non-series
+        for expression in (lambda: s * 3, lambda: s.mul(3),
+                           lambda: s.inv(3)):
+            with pytest.raises(TypeError,
+                               match="^expected a TruncatedSeries, got int$"):
+                expression()
         assert s * t == S((1, 3, 2), 3)
 
 

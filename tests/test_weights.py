@@ -63,7 +63,7 @@ class TestHomogeneousSum:
     def test_modulus_below_one_rejected(self, ws, modulus, monkeypatch):
         # refused before any table is built, for the table and the two
         # closed forms alike
-        def table(ell, r):
+        def table(ell, r, modulus=None):
             raise AssertionError(f"table built for {ell.weights}")
 
         monkeypatch.setattr(weights, "homogeneous_sums", table)
@@ -123,6 +123,28 @@ class TestHomogeneousSums:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="negative degree"):
             homogeneous_sums(WeightTuple((1, 2)), -1)
+
+    @pytest.mark.parametrize("modulus", [0, -3])
+    def test_modulus_below_one_rejected(self, modulus):
+        with pytest.raises(ValueError,
+                           match=f"^modulus must be >= 1, got {modulus}$"):
+            homogeneous_sums(WeightTuple((1, 2, 3)), 5, modulus)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ws=st.lists(st.one_of(st.integers(-20, 20),
+                                 st.sampled_from([10 ** 18, -10 ** 18])),
+                       min_size=1, max_size=6),
+           r=st.integers(0, 300),
+           m=st.one_of(st.sampled_from([1, 2, 3, 997, 2 ** 61 - 1]),
+                       st.integers(1, 10 ** 6)))
+    @example(ws=[1, 2, 3], r=0, m=1)
+    def test_residues_match_the_exact_table(self, ws, r, m):
+        # every entry, h_0 included, reduced as the table is built
+        if math.gcd(*ws) != 1:
+            ws[0] = 1
+        ell = WeightTuple(ws)
+        assert homogeneous_sums(ell, r, m) == [
+            h % m for h in homogeneous_sums(ell, r)]
 
 
 class TestBruteforceOracle:
@@ -198,7 +220,7 @@ class TestPairClosedForm:
             assert got == homogeneous_sum_bruteforce(ell, r)
 
     def test_two_weights_never_build_the_table(self, monkeypatch):
-        def table(ell, r):
+        def table(ell, r, modulus=None):
             raise AssertionError(f"table built for {ell.weights}")
 
         monkeypatch.setattr(weights, "homogeneous_sums", table)
