@@ -135,7 +135,7 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
 
 def presentation_odd(params: StiefelParams, p: int) -> CohomologyPresentation:
     """Mod-p presentation for odd p: truncated polynomial tensor exterior."""
-    require_presentation(params.n, params.k, params.ell)
+    require_presentation(params.n, params.k)
     require_prime(p)
     if p == 2:
         raise ValueError(
@@ -154,7 +154,7 @@ def presentation_mod2(n: int, ell: WeightTuple) -> CohomologyPresentation:
     h_{n-1} even gives Z/2[x, y]/(x^n, y^2) with y in degree 2n - 3;
     h_{n-1} odd gives Z/2[x, y]/(x^{n-1}, y^2) with y in degree 2n - 1.
     """
-    require_presentation(n, len(ell), ell)
+    require_presentation(n, len(ell))
     if len(ell) != 2:
         raise ValueError("mod-2 presentations are only available for "
                          "two-frame quotients (k = 2)")

@@ -3,11 +3,12 @@ runs on its input before its first table, series or scan.
 
     limit                 value    at the limit, cap weights, 2-vCPU VM
     MAX_COMPLEMENT_N      50,000   h-table of Theta(n^2) bits: 0.55 s, 276 MB
-                                   (and cohomology, k >= 3: conservative)
     MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON
-    MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s
+    MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s;
+                                   k = 3 up to n = 222,000: 0.5 s, 66 MB
     MAX_LENS_D            10^6     h_d's digits under --json: 1.4 s
     MAX_SERIES_N          3,200    pontrjagin 0.84 s, 40 MB; 4n sweep 0.6 s
+                                   (weights 1,1 at n = 5,220: 2.3 s)
     MAX_PRIME_BOUND       10^6     a sweep's sieve, one byte an integer
 
 The cap weights are CAP_WEIGHTS, LENS_CAP_WEIGHTS for lens and
@@ -61,9 +62,6 @@ _SUMS_CAPS = {command: (cap, weights, table,
               for command, cap, weights, table in (
                   ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
                   ("chern", MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS, True),
-                  # sized for an exact table up to n - k + 1; the scan's
-                  # tables are mod p, so this is conservative
-                  ("cohomology", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
                   # h_d comes from the two-weight closed form, not a table
                   ("lens", MAX_LENS_D, LENS_CAP_WEIGHTS, False))}
 
@@ -93,20 +91,16 @@ def packed_poincare_bytes(n: int, k: int) -> int:
     return k * (2 * n - k) * ((n.bit_length() + k + 6) // 8)
 
 
-def require_presentation(n: int, k: int, ell) -> None:
-    """The caps of a cohomology presentation: its packed size, which at
-    k ~ n/2 grows about as n^3 and its cost as n^4, and for k >= 3 the
-    complement caps on the nilpotency scan's first table, up to n - k + 1,
-    conservative since that table is mod p."""
-    if k >= 3:
-        require_at_most("cohomology with k >= 3 needs n", n, MAX_COMPLEMENT_N)
+def require_presentation(n: int, k: int) -> None:
+    """The cap of a cohomology presentation: its packed size, which at
+    k ~ n/2 grows about as n^3 and its cost as n^4. It bounds the
+    nilpotency scan too: its mod-p tables take about n k steps, no more
+    than the k(2n - k) fields counted here."""
     size = packed_poincare_bytes(n, k)
     if size > MAX_COHOMOLOGY_BYTES:
         raise ValueError(
             f"cohomology needs an estimated packed size <= "
             f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} (n = {n}, k = {k})")
-    if k >= 3:
-        require_small_sums("cohomology", ell, n - k + 1)
 
 
 def _series_size(n: int, l1: int, l2: int, T: int) -> tuple[float, int]:

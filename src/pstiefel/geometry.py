@@ -120,9 +120,9 @@ def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
     p; None when every admissible coefficient vanishes. series, when
     given, is that integer series truncated at the nilpotency order or
     beyond; otherwise it is built at exactly that truncation, n - 1 or n,
-    so the series cap is checked at n - 1 first: the order reads h_{n-1}
-    and h_n, which grow with n as the series does. A non-prime p is
-    refused by nilpotency_order, and p = 2 right after it."""
+    and the series cap is checked at n - 1 first, so a request past it is
+    refused before any work and before any refusal of p. A
+    non-prime p is refused by nilpotency_order, and p = 2 right after it."""
     _require_two_frames(ell, n)
     if series is None:
         costs.require_small_series(n, ell, n - 1)

@@ -758,8 +758,9 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
     ("cohomology --n 10000000 --k 2 --weights 1,2 --prime 3",
      "cohomology needs an estimated packed size <= 4000000 bytes, "
      "got 159999984 (n = 10000000, k = 2)"),
-    ("cohomology --n 50001 --k 3 --weights 1,2,3 --prime 3",
-     "cohomology with k >= 3 needs n <= 50000, got 50001"),
+    ("cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3",
+     "cohomology needs an estimated packed size <= 4000000 bytes, "
+     "got 4013973 (n = 223000, k = 3)"),
     # under the flag caps, but too large for the weights given
     ("complement --n 8000 --weights 1,1000000000000000000",
      "complement: h_8000 of 2 weights up to 1000000000000000000 in absolute "
@@ -785,10 +786,10 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
      "lens: h_100000 of 2 weights up to 1000000000000000000 in absolute "
      "value (an estimated 5979487 bits) costs more than the cap allows, the "
      "cost of h_1000000 of weights 1,2 (1000020 bits)"),
-    ("cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 3",
-     "cohomology: h_49998 of 3 weights up to 1000 in absolute value (an "
-     "estimated 498300 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
+    # k >= 3 takes the packed-size cap alone, whatever the weights
+    ("cohomology --n 223000 --k 3 --weights 1,2,1000 --prime 3",
+     "cohomology needs an estimated packed size <= 4000000 bytes, "
+     "got 4013973 (n = 223000, k = 3)"),
     # the integer Pontrjagin series, capped on its estimated size whatever
     # command builds it
     ("check-claims --n 999983 --weights 1,2",
@@ -806,7 +807,8 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
      "(an estimated 15371 bits a coefficient) costs more than the cap "
      "allows, the cost at n = truncation = 3200 with weights 1,8 "
      "(15362 bits)"),
-    # before the nilpotency order, whose h_{n-1} has about n bits
+    # checked before the nilpotency order: refused before any work, and
+    # ahead of any refusal of p, an order the golden grid pins
     ("span --n 1000000000000 --weights 1,2 --prime 3",
      "the Pontrjagin series of n = 1000000000000 and weights 1,2 at "
      "truncation 999999999999 (an estimated 2804820237194 bits a "
@@ -844,8 +846,8 @@ def test_oversized_inputs_are_refused(argv, message):
      "cohomology --n 10000000 --k 2 --weights 1,2 --prime 3"),
     ("presentation_mod2(10**7, WeightTuple((1, 2)))",
      "cohomology --n 10000000 --k 2 --weights 1,2 --prime 2"),
-    ("presentation_odd(StiefelParams(50_000, 3, WeightTuple((1, 2, 1000))), 3)",
-     "cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 3"),
+    ("presentation_odd(StiefelParams(223_000, 3, WeightTuple((1, 2, 3))), 3)",
+     "cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3"),
     ("LensParams(100_000, 3, 1, 10**18)",
      "lens --d 100000 --m 3 --weights 1,1000000000000000000"),
 ])
@@ -908,8 +910,10 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     for prime in ("2", "3"):
         assert main(["cohomology", "--n", "10000000", "--k", "2",
                      "--weights", "1,2", "--prime", prime]) == 1
-    assert main(["cohomology", "--n", str(costs.MAX_COMPLEMENT_N + 1),
-                 "--k", "3", "--weights", "1,2,3", "--prime", "3"]) == 1
+    # an estimated 4,013,973 bytes, with small and with large weights
+    for ws in ("1,2,3", "1,2,1000"):
+        assert main(["cohomology", "--n", "223000", "--k", "3",
+                     "--weights", ws, "--prime", "3"]) == 1
     # an estimated 4,556,250 bytes
     assert main(["cohomology", "--n", "450", "--k", "225",
                  "--weights", ",".join(["1"] * 225), "--prime", "3"]) == 1
@@ -917,8 +921,6 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     assert main(["complement", "--n", "8000", "--weights", big]) == 1
     assert main(["chern", "--weights", big, "--truncation", "3000"]) == 1
     assert main(["lens", "--d", "100000", "--m", "3", "--weights", big]) == 1
-    assert main(["cohomology", "--n", "50000", "--k", "3",
-                 "--weights", "1,2,1000", "--prime", "3"]) == 1
     for argv in (["check-claims", "--n", "999983"],
                  ["pontrjagin", "--n", "2", "--truncation", "10000000"],
                  ["span", "--n", "3201"], ["immersion", "--n", "3201"],
@@ -938,10 +940,36 @@ def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
     ell = weights.WeightTuple(ws)
     costs.require_small_sums("complement", ell, costs.MAX_COMPLEMENT_N)
     costs.require_small_sums("chern", ell, costs.MAX_CHERN_TRUNCATION - 1)
-    if len(ws) == 3:
-        costs.require_small_sums("cohomology", ell, costs.MAX_COMPLEMENT_N - 2)
     if len(ws) == 2 and max(map(abs, ws)) <= 2:
         costs.require_small_sums("lens", ell, costs.MAX_LENS_D)
+
+
+@pytest.mark.parametrize("argv", [
+    "cohomology --n 50001 --k 3 --weights 1,2,3 --prime 3",
+    "cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 3",
+    # the largest k = 3 under the packed-size cap, about 14.7 MB of JSON
+    "cohomology --n 222000 --k 3 --weights 1,2,1000 --prime 3",
+    "cohomology --n 45000 --k 10 --weights=" + ",".join(["1"] * 9 + ["2"])
+    + " --prime 3",
+])
+def test_k_at_least_3_is_bounded_by_the_packed_size_alone(argv):
+    # the nilpotency scan's tables are mod p, whatever the weights, so
+    # the packed-size cap alone bounds these: each answers in under 1 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "pstiefel", *argv.split(), "--json"],
+        capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["invariants"]["passed"] is True
+
+
+def test_k_at_least_3_library_call_with_large_weights_answers():
+    from pstiefel import (StiefelParams, check_presentation_invariants,
+                          presentation_odd)
+
+    params = StiefelParams(50_000, 3, weights.WeightTuple((1, 2, 1000)))
+    pres = presentation_odd(params, 3)
+    assert pres == (3, 49_998, (99_997, 99_999), False)
+    assert check_presentation_invariants(pres, params).passed
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -103,7 +103,9 @@ def _grid() -> list[list[str]]:
         "cohomology --n 10000000 --k 3 --weights 1,2,3 --prime 2",
         "cohomology --n 10000000 --k 1 --weights 1 --prime 2",
         "cohomology --n 10000000 --k 2 --weights 1,2 --prime 4",
+        # within every cap, so it fails the prime check alone
         "cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 4",
+        "cohomology --n 223000 --k 3 --weights 1,2,3 --prime 4",
         "complement --n 8000 --weights 1,1000000000000000000,3",
         "lens --d 2000000 --m 1 --weights 1,2",
         "lens --d 100000 --m 1 --weights 1,1000000000000000000",
