@@ -2,7 +2,8 @@
 runs on its input before its first table, series or scan.
 
     limit                 value    at the limit, cap weights, 2-vCPU VM
-    MAX_COMPLEMENT_N      50,000   h-table of Theta(n^2) bits: 0.55 s, 276 MB
+    MAX_COMPLEMENT_N      50,000   sized for the h-table, 0.55 s and 276 MB;
+                                   from h_{n-2..n} alone 0.1 s, 15 MB
     MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON
     MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s;
                                    k = 3 up to n = 222,000: 0.5 s, 66 MB
@@ -60,6 +61,8 @@ def require_at_most(what: str, value: int, cap: int) -> None:
 _SUMS_CAPS = {command: (cap, weights, table,
                         bits(len(weights), cap, max(weights)))
               for command, cap, weights, table in (
+                  # sized for the table h_0..h_n that complement no
+                  # longer builds (it reads the top ones), so conservative
                   ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
                   ("chern", MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS, True),
                   # h_d comes from the two-weight closed form, not a table

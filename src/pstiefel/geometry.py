@@ -46,7 +46,7 @@ from . import costs
 from .costs import MAX_PRIME_BOUND
 from .ring import p_adic_valuation, primes_upto
 from .series import TruncatedSeries
-from .weights import WeightTuple, homogeneous_sum, homogeneous_sums
+from .weights import WeightTuple, homogeneous_sum, homogeneous_top
 
 CERTIFICATE_BASIS = "direct-series"
 
@@ -381,25 +381,28 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
     The complement's r-th Chern coefficient is (-1)^r h_r, so the
     largest surviving r <= n forces rank >= r; a complement of rank n
     always exists, and rank n - 1 is achievable exactly when h_n = 0.
+    Only h_{n-j+1}..h_n (j nonzero weights) are read: prod_j l_j != 0, so
+    j vanishing sums past h_0 would, run backwards, force h_0 = 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     costs.require_at_most("complement needs n", n, costs.MAX_COMPLEMENT_N)
     costs.require_small_sums("complement", ell, n)
-    hs = homogeneous_sums(ell, n)
-    surviving = [i for i in range(1, n + 1) if hs[i] != 0]
-    lower = max(surviving, default=0)
-    achievable = n - 1 if hs[n] == 0 else n
-    notes = ()
-    if hs[n] == 0:
-        notes = ("top complement coefficient vanishes, so a rank "
-                 f"{n - 1} complement exists",)
+    top = homogeneous_top(ell, n)
+    first = n + 1 - len(top)
+    lower = max([r for r, h in enumerate(top, first) if h and r], default=0)
+    if not lower and first > 0:
+        raise InvariantViolation(f"h_{first}..h_{n} of {ell} all vanish")
+    achievable, notes = n, ()
+    if top[-1] == 0:
+        achievable, notes = n - 1, (
+            f"top complement coefficient vanishes, so a rank {n - 1} "
+            "complement exists",)
     if lower == 0:
         return RankBoundReport(f"CP^{n}", 0, achievable, "none", notes=notes)
-    sign = -1 if lower % 2 else 1
     return RankBoundReport(
-        f"CP^{n}", lower, achievable, "chern-nonzero",
-        reason_index=lower, reason_value=sign * hs[lower], notes=notes)
+        f"CP^{n}", lower, achievable, "chern-nonzero", reason_index=lower,
+        reason_value=(-1) ** lower * top[lower - first], notes=notes)
 
 
 class LensParams(namedtuple("LensParams", "d m l1 l2")):

@@ -8,9 +8,9 @@ downstream is the complete homogeneous sum
     h_r(l_1, ..., l_k) = sum over i_1 + ... + i_k = r, i_j >= 0
                          of l_1^{i_1} * ... * l_k^{i_k},
 
-computed by the one-weight-at-a-time recurrence, or for two weights by
-its closed form. Direct enumeration over multisets of weights is kept
-as an independent oracle for small ranges.
+computed by the one-weight-at-a-time recurrence, for two weights by its
+closed form, the top ones from x^r mod prod_j (x - l_j). Direct enumeration
+over multisets of weights is an independent oracle for small ranges.
 The weighted line bundle sums over complex projective space have total
 Chern class prod_j (1 + l_j x), and the complement's Chern series is its
 inverse, whose x^r coefficient is (-1)^r h_r.
@@ -19,6 +19,7 @@ inverse, whose x^r coefficient is (-1)^r h_r.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from itertools import combinations_with_replacement
 
@@ -36,7 +37,11 @@ class WeightTuple(tuple):
     __slots__ = ()
 
     def __new__(cls, weights: Iterable[int]):
-        ws = tuple(int(w) for w in weights)
+        ws = tuple(weights)
+        try:
+            ws = tuple(map(operator.index, ws))
+        except TypeError:
+            raise ValueError(f"weights must be integers, got {ws!r}") from None
         if not ws:
             raise ValueError("empty weight tuple")
         g = gcd_all(ws)
@@ -107,6 +112,41 @@ def homogeneous_sum(ell: WeightTuple, r: int,
     big = modulus * abs(l1 - l2)
     return ((pow(l1, r + 1, big) - pow(l2, r + 1, big)) % big
             // (l1 - l2) % modulus)
+
+
+def homogeneous_top(ell: WeightTuple, r: int) -> list[int]:
+    """[h_{r-j+1}, ..., h_r] exactly, 0 at negative indices, j the number
+    of nonzero weights. p = prod_j (x - l_j) is the recurrence's
+    characteristic polynomial, so x^m mod p = sum_t a_t x^t gives h_m =
+    sum_t a_t h_t (Fiduccia, SIAM J. Comput. 14, 1985): binary powering
+    from x^(m >> s) < x^j takes O(j^2 log r) products and builds no table
+    past h_{j-1}. Polynomials mod p are their j coefficients from x^0 up;
+    x times one is a shift less its top coefficient times p."""
+    ws = [w for w in ell if w]
+    j = len(ws)
+    first = homogeneous_sums(ws, min(r, j - 1))
+    if r < j:
+        return [0] * (j - 1 - r) + first
+    p = [1]
+    for w in ws:
+        p = [x - w * y for x, y in zip([0] + p, p + [0])]
+    m = r - j + 1
+    s = max(m.bit_length() - j.bit_length(), 0)
+    s += m >> s >= j
+    a = [int(t == m >> s) for t in range(j)]
+    for i in range(s - 1, -1, -1):
+        sq = [0] * j  # a^2 = sum_t a_t x^t a, by Horner from the top
+        for x in reversed(a):
+            hi = sq[-1]
+            sq = [u - hi * c + x * y for u, c, y in zip([0] + sq, p, a)]
+        a = sq
+        if m >> i & 1:
+            a = [u - a[-1] * c for u, c in zip([0] + a[:-1], p)]
+    top = []
+    for _ in range(j):
+        top.append(sum(map(operator.mul, a, first)))
+        a = [u - a[-1] * c for u, c in zip([0] + a[:-1], p)]
+    return top
 
 
 def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:

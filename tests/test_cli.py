@@ -895,7 +895,7 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
 
     # the kernels behind each engine entry point, which checks its caps
     # before it calls any of them
-    monkeypatch.setattr(geometry, "homogeneous_sums", no_work)
+    monkeypatch.setattr(geometry, "homogeneous_top", no_work)
     monkeypatch.setattr(geometry, "homogeneous_sum", no_work)
     monkeypatch.setattr(weights, "TruncatedSeries", no_work)
     monkeypatch.setattr(cohomology, "require_prime", no_work)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pstiefel.geometry as geometry
 import pstiefel.ring as ring
+import pstiefel.weights as weights
 from pstiefel.cohomology import InvariantViolation, StiefelParams
 from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                Certificate, LensParams, best_immersion_bound,
@@ -332,17 +334,71 @@ class TestComplementRank:
             cp_complement_min_rank(0, W(1, 2))
 
     def test_builds_one_table(self, monkeypatch):
+        # the only table is h_0..h_{j-1}; the bound reads h_38..h_40 from
+        # x^38 mod (x - 1)(x + 2)(x - 3)
         calls = []
-        original = geometry.homogeneous_sums
+        original = weights.homogeneous_sums
 
         def counted(ell, r):
             calls.append(r)
             return original(ell, r)
 
-        monkeypatch.setattr(geometry, "homogeneous_sums", counted)
+        monkeypatch.setattr(weights, "homogeneous_sums", counted)
         rep = cp_complement_min_rank(40, W(1, -2, 3))
-        assert calls == [40]
+        assert calls == [2]
         assert rep.reason_index == 40
+
+    def test_a_vanishing_window_is_an_invariant_violation(self, monkeypatch):
+        # j consecutive zero sums past h_0 cannot occur; if the kernel gave
+        # them, the bound would silently read 0
+        monkeypatch.setattr(geometry, "homogeneous_top", lambda ell, r: [0, 0])
+        with pytest.raises(InvariantViolation, match="h_9..h_10 of"):
+            cp_complement_min_rank(10, W(1, 2))
+
+    @pytest.mark.parametrize("ws", [
+        (1,), (-1,), (0, 1), (0, 0, 1), (1, -1), (1, 1, 1), (3, 3, 1, -7),
+        (1, 2, -3)])
+    def test_small_cases_match_the_table(self, ws):
+        # (1, 2, -3) has h_1 = 0; the others vanish in patterns or have
+        # zero and repeated weights
+        for n in range(1, 9):
+            assert cp_complement_min_rank(n, W(*ws)) == table_rank(n, W(*ws))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ws=st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+           n=st.integers(1, 200))
+    def test_matches_the_table(self, ws, n):
+        assume(math.gcd(*ws) == 1)
+        assert cp_complement_min_rank(n, W(*ws)) == table_rank(n, W(*ws))
+
+    def test_peak_memory_at_the_cap_is_small(self):
+        # the table h_0..h_50000 of these weights peaked at 268 MB
+        tracemalloc.start()
+        try:
+            cp_complement_min_rank(50_000, W(1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+def table_rank(n, ell):
+    """Oracle for cp_complement_min_rank: its bound read from the whole
+    table h_0..h_n."""
+    hs = homogeneous_sums(ell, n)
+    lower = max([i for i in range(1, n + 1) if hs[i] != 0], default=0)
+    achievable = n - 1 if hs[n] == 0 else n
+    notes = ()
+    if hs[n] == 0:
+        notes = ("top complement coefficient vanishes, so a rank "
+                 f"{n - 1} complement exists",)
+    if lower == 0:
+        return geometry.RankBoundReport(f"CP^{n}", 0, achievable, "none",
+                                        notes=notes)
+    sign = -1 if lower % 2 else 1
+    return geometry.RankBoundReport(
+        f"CP^{n}", lower, achievable, "chern-nonzero",
+        reason_index=lower, reason_value=sign * hs[lower], notes=notes)
 
 
 class TestLensBounds:

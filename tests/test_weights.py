@@ -12,7 +12,7 @@ import pstiefel.weights as weights
 from pstiefel.cohomology import StiefelParams, nilpotency_order
 from pstiefel.weights import (WeightTuple, complement_chern, homogeneous_sum,
                               homogeneous_sum_bruteforce, homogeneous_sums,
-                              total_chern)
+                              homogeneous_top, total_chern)
 
 
 class TestWeightTuple:
@@ -28,6 +28,16 @@ class TestWeightTuple:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             WeightTuple([])
+
+    @pytest.mark.parametrize("ws", [[1.9, 2], [1.0, 2], ["3", "4"], [1, None]])
+    def test_rejects_non_integers(self, ws):
+        # int() would read 1.9 as 1, a different quotient
+        with pytest.raises(ValueError, match="^weights must be integers"):
+            WeightTuple(ws)
+
+    def test_accepts_integer_types(self):
+        assert WeightTuple([True, 2]) == (1, 2)
+        assert type(WeightTuple([True, 2])[0]) is int
 
     def test_sequence_protocol(self):
         ell = WeightTuple((3, -2, 1))
@@ -145,6 +155,27 @@ class TestHomogeneousSums:
         ell = WeightTuple(ws)
         assert homogeneous_sums(ell, r, m) == [
             h % m for h in homogeneous_sums(ell, r)]
+
+
+class TestHomogeneousTop:
+    @settings(max_examples=400, deadline=None)
+    @given(ws=st.lists(st.one_of(st.integers(-20, 20),
+                                 st.sampled_from([10 ** 18, -10 ** 18])),
+                       min_size=1, max_size=6),
+           r=st.one_of(st.integers(0, 6), st.integers(0, 300)))
+    @example(ws=[0, 0, 5], r=0)
+    @example(ws=[1, 2, 3, 4, 5, 6], r=4)
+    def test_matches_the_last_entries_of_the_table(self, ws, r):
+        # zero weights drop out, and indices below 0 read as 0
+        if not any(ws):
+            ws[0] = 1
+        j = sum(1 for w in ws if w)
+        table = [0] * j + homogeneous_sums(ws, r)
+        assert homogeneous_top(ws, r) == table[-j:]
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="negative degree"):
+            homogeneous_top(WeightTuple((1, 2)), -1)
 
 
 class TestBruteforceOracle:
