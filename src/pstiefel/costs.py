@@ -2,8 +2,8 @@
 runs on its input before its first table, series or scan.
 
     limit                 value    at the limit, cap weights, 2-vCPU VM
-    MAX_COMPLEMENT_N      50,000   sized for the h-table, 0.55 s and 276 MB;
-                                   from h_{n-2..n} alone 0.1 s, 15 MB
+    MAX_COMPLEMENT_N      50,000   h_{n-2..n} by powering: 0.1 s, 15 MB;
+                                   kept, as h_n's estimate omits log2 n steps
     MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON
     MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s;
                                    k = 3 up to n = 222,000: 0.5 s, 66 MB
@@ -15,8 +15,9 @@ runs on its input before its first table, series or scan.
 The cap weights are CAP_WEIGHTS, LENS_CAP_WEIGHTS for lens and
 SERIES_CAP_WEIGHTS for the series. Under the flag caps, a request whose
 sums or series would cost more than at its cap with those weights is
-refused too (chern with weights 1,10^18 took 7.2 s at truncation 1190),
-so every size accepted at those weights stays accepted.
+refused too (chern with weights 1,10^18 took 7.2 s at truncation 1190,
+complement with 1,000 weights of 1 at n = 3,474 took 13-23 s), so every
+size accepted at those weights stays accepted.
 """
 
 from __future__ import annotations
@@ -57,24 +58,22 @@ def require_at_most(what: str, value: int, cap: int) -> None:
 
 # Each command's sums cap: (cap, cap weights, whether it builds the table
 # h_0..h_r or h_r alone, the estimate of h_cap of the cap weights, computed
-# once), for require_small_sums to compare every request with.
+# once), for require_small_sums to compare every request with. complement
+# prints one h_r, built by powering, and lens one closed form.
 _SUMS_CAPS = {command: (cap, weights, table,
                         bits(len(weights), cap, max(weights)))
               for command, cap, weights, table in (
-                  # sized for the table h_0..h_n that complement no
-                  # longer builds (it reads the top ones), so conservative
-                  ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, True),
+                  ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, False),
                   ("chern", MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS, True),
-                  # h_d comes from the two-weight closed form, not a table
                   ("lens", MAX_LENS_D, LENS_CAP_WEIGHTS, False))}
 
 
 def require_small_sums(command: str, ell, r: int) -> None:
     """ValueError when h_r of the weights ell (and h_0..h_r, when the
-    command builds a table) costs more than the command's cap in
-    _SUMS_CAPS allows; a negative r is left to the caller. k weights up
-    to L in size give |h_r| <= C(r + k - 1, k - 1) L^r, so E sums of B
-    bits take about k E B bit operations."""
+    command builds a table, as chern does) costs more than the command's
+    cap in _SUMS_CAPS allows; a negative r is left to the caller. k
+    weights up to L in size give |h_r| <= C(r + k - 1, k - 1) L^r, so E
+    sums of B bits take about k E B bit operations, and one sum k B."""
     cap, cap_weights, table, cap_b = _SUMS_CAPS[command]
     k, top, r = len(ell), max(map(abs, ell)), max(r, 0)
     b = bits(k, r, top)

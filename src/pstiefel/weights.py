@@ -176,8 +176,12 @@ def total_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:
 
 
 def complement_chern(ell: WeightTuple, truncation: int) -> TruncatedSeries:
-    """Chern series of the complementary bundle: the inverse of total_chern.
-
-    Its x^r coefficient is (-1)^r * h_r(ell).
-    """
-    return total_chern(ell, truncation).inv()
+    """Chern series of the complementary bundle, the inverse of total_chern,
+    under the same caps. Its x^r coefficient is (-1)^r h_r(ell) = h_r(-ell),
+    so it is the table h_0..h_{T-1} of the negated weights; no inversion."""
+    require_at_most("chern needs truncation", truncation, MAX_CHERN_TRUNCATION)
+    require_small_sums("chern", ell, truncation - 1)
+    negated = [-w for w in ell]
+    # a truncation below 1 gets the series' own message
+    return TruncatedSeries(homogeneous_sums(negated, max(truncation - 1, 0)),
+                           truncation)

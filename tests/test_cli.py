@@ -602,6 +602,28 @@ def test_lens_computes_h_d_once(capsys, monkeypatch, m):
     assert calls == [(weights.WeightTuple((1, 2)), 3)]
 
 
+def test_chern_builds_the_total_series_once_and_inverts_none(capsys,
+                                                             monkeypatch):
+    from pstiefel.series import TruncatedSeries
+    calls = []
+    original = weights.total_chern
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    def no_inverse(self):
+        raise AssertionError("inverted a series")
+
+    # complement_chern reads the table of sums, not the total series
+    monkeypatch.setattr(cli, "total_chern", counted)
+    monkeypatch.setattr(weights, "total_chern", counted)
+    monkeypatch.setattr(TruncatedSeries, "inv", no_inverse)
+    assert main(["chern", "--weights", "1,2,3", "--truncation", "40",
+                 "--json"]) == 0
+    assert calls == [(weights.WeightTuple((1, 2, 3)), 40)]
+
+
 class TestDeterminism:
     def test_json_output_is_bit_identical(self, capsys):
         argv = ["check-claims", "--n", "21", "--weights", "2,1", "--json"]
@@ -737,6 +759,8 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
 
 # a size past a float, about 10^308
 BIG = 10 ** 400
+# 4,300 digits, the most argparse reads as an int
+HUGE = 10 ** 4299
 PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
                 "allows, the cost at n = truncation = 3200 with weights 1,8 "
                 "(15362 bits)")
@@ -773,6 +797,20 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
     ("complement --n 50000 --weights=" + ",".join(["1"] * 200),
      "complement: h_50000 of 200 weights up to 1 in absolute value (an "
      "estimated 1869 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
+    # costed as the one h_n complement prints: while the row priced the
+    # table h_0..h_n these answered, in 13-23, 7-11 and 6-10 s
+    ("complement --n 3474 --weights=" + ",".join(["1"] * 1000),
+     "complement: h_3474 of 1000 weights up to 1 in absolute value (an "
+     "estimated 3421 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
+    ("complement --n 8553 --weights=" + ",".join(["1"] * 500),
+     "complement: h_8553 of 500 weights up to 1 in absolute value (an "
+     "estimated 2780 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
+    (f"complement --n 115 --weights 1,{HUGE}",
+     f"complement: h_115 of 2 weights up to {HUGE} in absolute value (an "
+     "estimated 1642318 bits) costs more than the cap allows, the cost of "
      "h_50000 of weights 1,2,3 (79278 bits)"),
     ("chern --weights 1,1000000000000000000 --truncation 3000 --json",
      "chern: h_2999 of 2 weights up to 1000000000000000000 in absolute value "
@@ -840,6 +878,12 @@ def test_oversized_inputs_are_refused(argv, message):
 @pytest.mark.parametrize("call,argv", [
     ("cp_complement_min_rank(8000, WeightTuple((1, 10**18)))",
      "complement --n 8000 --weights 1,1000000000000000000"),
+    ("cp_complement_min_rank(3474, WeightTuple((1,) * 1000))",
+     "complement --n 3474 --weights=" + ",".join(["1"] * 1000)),
+    ("cp_complement_min_rank(8553, WeightTuple((1,) * 500))",
+     "complement --n 8553 --weights=" + ",".join(["1"] * 500)),
+    ("cp_complement_min_rank(115, WeightTuple((1, 10**4299)))",
+     f"complement --n 115 --weights 1,{HUGE}"),
     ("complement_chern(WeightTuple((1, 10**18)), 3000)",
      "chern --weights 1,1000000000000000000 --truncation 3000"),
     ("presentation_odd(StiefelParams(10**7, 2, WeightTuple((1, 2))), 3)",
@@ -942,6 +986,27 @@ def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
     costs.require_small_sums("chern", ell, costs.MAX_CHERN_TRUNCATION - 1)
     if len(ws) == 2 and max(map(abs, ws)) <= 2:
         costs.require_small_sums("lens", ell, costs.MAX_LENS_D)
+
+
+@pytest.mark.parametrize("n,ws", [
+    (38_898, (1,) * 160), (4_590, (1,) * 200), (7_130, tuple(range(1, 11))),
+    (1_325, (1, 10 ** 18))])
+def test_complement_answers_the_largest_n_its_weights_allow(n, ws):
+    # each shape at the largest n its sums cap accepts: the top sums by
+    # powering and the printed h_n answer in under 2 s
+    ell = weights.WeightTuple(ws)
+    costs.require_small_sums("complement", ell, n)
+    with pytest.raises(ValueError, match="costs more than the cap allows"):
+        costs.require_small_sums("complement", ell, n + 1)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pstiefel", "complement", "--n", str(n),
+         "--weights=" + ",".join(map(str, ws)), "--json"],
+        capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # positive weights: h_n > 0, so no complement of rank below n
+    assert json.loads(proc.stdout)["result"]["lower_bound"] == str(n)
 
 
 @pytest.mark.parametrize("argv", [
