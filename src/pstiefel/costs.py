@@ -2,9 +2,9 @@
 runs on its input before its first table, series or scan.
 
     limit                 value    at the limit, cap weights, 2-vCPU VM
-    MAX_COMPLEMENT_N      50,000   h_{n-2..n} by powering: 0.1 s, 15 MB;
-                                   kept, as h_n's estimate omits log2 n steps
-    MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON
+    MAX_COMPLEMENT_N      50,000   h_{n-2..n} by powering: 0.1 s, 15 MB
+    MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON;
+                                   kept: weights +-1 give sums of ~0 bits
     MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s;
                                    k = 3 up to n = 222,000: 0.5 s, 66 MB
     MAX_LENS_D            10^6     h_d's digits under --json: 1.4 s
@@ -13,11 +13,11 @@ runs on its input before its first table, series or scan.
     MAX_PRIME_BOUND       10^6     a sweep's sieve, one byte an integer
 
 The cap weights are CAP_WEIGHTS, LENS_CAP_WEIGHTS for lens and
-SERIES_CAP_WEIGHTS for the series. Under the flag caps, a request whose
-sums or series would cost more than at its cap with those weights is
-refused too (chern with weights 1,10^18 took 7.2 s at truncation 1190,
-complement with 1,000 weights of 1 at n = 3,474 took 13-23 s), so every
-size accepted at those weights stays accepted.
+SERIES_CAP_WEIGHTS for the series. A request whose sums or series would
+cost more than at its cap with those weights is refused, so every size
+accepted at those weights stays accepted. That cost row alone bounds
+complement, lens and the series, whose limits above name its reference
+request; bits refuses past 2^44 terms, where a float loses the estimate.
 """
 
 from __future__ import annotations
@@ -38,16 +38,12 @@ SERIES_CAP_WEIGHTS = (1, 8)
 def bits(count: int, r: int, top: int) -> float:
     """log2 C(r + count - 1, count - 1) + r log2 top: the bits of a sum of
     all degree-r monomials in count variables each at most top in size."""
+    if r + count > 2 ** 44:
+        # lgamma's difference loses bits as its arguments grow: about
+        # 0.21 bits off log2 C(L + s, s) below 2^44 (s <= 40), 20 at 2^50
+        raise OverflowError(f"{r + count} terms, past 2^44")
     return ((lgamma(r + count) - lgamma(r + 1) - lgamma(count)) / log(2)
             + r * log2(top))
-
-
-def _too_costly(b, entries, ops, cap_b, cap_entries, cap_ops) -> bool:
-    """Whether entries numbers of b bits cost more than the cap's to build,
-    ops * entries * b bit operations, or to print, entries * b^2 (decimal
-    conversion being quadratic)."""
-    return (ops * entries * b > cap_ops * cap_entries * cap_b
-            or entries * b * b > cap_entries * cap_b * cap_b)
 
 
 def require_at_most(what: str, value: int, cap: int) -> None:
@@ -56,12 +52,34 @@ def require_at_most(what: str, value: int, cap: int) -> None:
         raise ValueError(f"{what} <= {cap}, got {value}")
 
 
-# Each command's sums cap: (cap, cap weights, whether it builds the table
-# h_0..h_r or h_r alone, the estimate of h_cap of the cap weights, computed
-# once), for require_small_sums to compare every request with. complement
+def _require_cheap(what, unit: str, size, cap) -> None:
+    """ValueError "{what()} (...) costs more than the cap allows, ..." when
+    size(), a request's (B, E, ops), passes cap, its reference request's
+    (B, E, ops, text): E numbers of B bits take ops E B bit operations to
+    build, E B^2 to print (decimal conversion is quadratic); or when
+    size() passes bits' float range. The message is built only then."""
+    cap_b, cap_e, cap_ops, cap_text = cap
+    try:
+        b, e, ops = size()
+    except OverflowError:
+        estimate = "too large for a float estimate"
+    else:
+        if (ops * e * b <= cap_ops * cap_e * cap_b
+                and e * b * b <= cap_e * cap_b * cap_b):
+            return
+        estimate = f"an estimated {b:.0f} bits{unit}"
+    raise ValueError(f"{what()} ({estimate}) costs more than the cap "
+                     f"allows, the cost {cap_text} ({cap_b:.0f} bits)")
+
+
+# Each command's sums cap: whether it builds the table h_0..h_r or h_r
+# alone, and the (B, E, ops, text) of h_cap of the cap weights, computed
+# once, for require_small_sums to compare every request with. complement
 # prints one h_r, built by powering, and lens one closed form.
-_SUMS_CAPS = {command: (cap, weights, table,
-                        bits(len(weights), cap, max(weights)))
+_SUMS_CAPS = {command: (table, (bits(len(weights), cap, max(weights)),
+                                cap + 1 if table else 1, len(weights),
+                                f"of h_{cap} of weights "
+                                f"{','.join(map(str, weights))}"))
               for command, cap, weights, table in (
                   ("complement", MAX_COMPLEMENT_N, CAP_WEIGHTS, False),
                   ("chern", MAX_CHERN_TRUNCATION - 1, CAP_WEIGHTS, True),
@@ -72,18 +90,12 @@ def require_small_sums(command: str, ell, r: int) -> None:
     """ValueError when h_r of the weights ell (and h_0..h_r, when the
     command builds a table, as chern does) costs more than the command's
     cap in _SUMS_CAPS allows; a negative r is left to the caller. k
-    weights up to L in size give |h_r| <= C(r + k - 1, k - 1) L^r, so E
-    sums of B bits take about k E B bit operations, and one sum k B."""
-    cap, cap_weights, table, cap_b = _SUMS_CAPS[command]
+    weights up to L in size give |h_r| <= C(r + k - 1, k - 1) L^r."""
+    table, cap = _SUMS_CAPS[command]
     k, top, r = len(ell), max(map(abs, ell)), max(r, 0)
-    b = bits(k, r, top)
-    if _too_costly(b, r + 1 if table else 1, k,
-                   cap_b, cap + 1 if table else 1, len(cap_weights)):
-        raise ValueError(
-            f"{command}: h_{r} of {k} weights up to {top} in absolute value "
-            f"(an estimated {b:.0f} bits) costs more than the cap allows, "
-            f"the cost of h_{cap} of weights "
-            f"{','.join(map(str, cap_weights))} ({cap_b:.0f} bits)")
+    _require_cheap(lambda: f"{command}: h_{r} of {k} weights up to {top} in "
+                   "absolute value", "",
+                   lambda: (bits(k, r, top), r + 1 if table else 1, k), cap)
 
 
 def packed_poincare_bytes(n: int, k: int) -> int:
@@ -105,18 +117,19 @@ def require_presentation(n: int, k: int) -> None:
             f"{MAX_COHOMOLOGY_BYTES} bytes, got {size} (n = {n}, k = {k})")
 
 
-def _series_size(n: int, l1: int, l2: int, T: int) -> tuple[float, int]:
-    """(B, E): the E = ceil(T/2) even coefficients of the series of n and
-    (l1, l2) truncated at T have at most B bits, from C(2n + j, j) M^j at
-    j = E - 1, M = max(l1^2, l2^2, (l2 - l1)^2), and a sign bit."""
+def _series_size(n: int, l1: int, l2: int, T: int) -> tuple[float, int, int]:
+    """(B, E, 1): the E = ceil(T/2) even coefficients of the series of n
+    and (l1, l2) truncated at T have at most B bits, from C(2n + j, j) M^j
+    at j = E - 1, M = max(l1^2, l2^2, (l2 - l1)^2), and a sign bit."""
     even = max((T + 1) // 2, 1)
     top = max(l1 * l1, l2 * l2, (l2 - l1) ** 2)
-    return bits(2 * n + 1, even - 1, top) + 1, even
+    return bits(2 * n + 1, even - 1, top) + 1, even, 1
 
 
 # the series at the cap, computed once
-_SERIES_CAP_SIZE = _series_size(MAX_SERIES_N, *SERIES_CAP_WEIGHTS,
-                                MAX_SERIES_N)
+_SERIES_CAP = _series_size(MAX_SERIES_N, *SERIES_CAP_WEIGHTS, MAX_SERIES_N) + (
+    f"at n = truncation = {MAX_SERIES_N} with weights "
+    f"{','.join(map(str, SERIES_CAP_WEIGHTS))}",)
 
 
 def require_small_series(n: int, ell, T: int) -> None:
@@ -124,18 +137,6 @@ def require_small_series(n: int, ell, T: int) -> None:
     truncated at T costs more than at n = T = MAX_SERIES_N with
     SERIES_CAP_WEIGHTS, or is too large for the float estimate."""
     l1, l2 = ell
-    cap_b, cap_even = _SERIES_CAP_SIZE
-    try:
-        b, even = _series_size(n, l1, l2, T)
-    except OverflowError:
-        # n or T past a float (about 308 digits), far past the cap
-        size = "too large for a float estimate"
-    else:
-        if not _too_costly(b, even, 1, cap_b, cap_even, 1):
-            return
-        size = f"an estimated {b:.0f} bits a coefficient"
-    raise ValueError(
-        f"the Pontrjagin series of n = {n} and weights {l1},{l2} at "
-        f"truncation {T} ({size}) costs more than the cap allows, the "
-        f"cost at n = truncation = {MAX_SERIES_N} with weights "
-        f"{','.join(map(str, SERIES_CAP_WEIGHTS))} ({cap_b:.0f} bits)")
+    _require_cheap(lambda: f"the Pontrjagin series of n = {n} and weights "
+                   f"{l1},{l2} at truncation {T}", " a coefficient",
+                   lambda: _series_size(n, l1, l2, T), _SERIES_CAP)

@@ -386,7 +386,6 @@ def cp_complement_min_rank(n: int, ell: WeightTuple) -> RankBoundReport:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    costs.require_at_most("complement needs n", n, costs.MAX_COMPLEMENT_N)
     costs.require_small_sums("complement", ell, n)
     top = homogeneous_top(ell, n)
     first = n + 1 - len(top)
@@ -413,7 +412,6 @@ class LensParams(namedtuple("LensParams", "d m l1 l2")):
     def __new__(cls, d: int, m: int, l1: int, l2: int):
         if d < 1:
             raise ValueError(f"need d >= 1, got {d}")
-        costs.require_at_most("need d", d, costs.MAX_LENS_D)
         if m < 2:
             raise ValueError(f"need m >= 2, got {m}")
         if math.gcd(l1, l2) != 1:

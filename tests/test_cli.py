@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -767,10 +768,16 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
 
 
 @pytest.mark.parametrize("argv,message", [
+    # the sums cap alone bounds complement: at the cap weights it refuses
+    # every n past 50,000
     ("complement --n 3000000 --weights 1,2,3",
-     "complement needs n <= 50000, got 3000000"),
+     "complement: h_3000000 of 3 weights up to 3 in absolute value (an "
+     "estimated 4754930 bits) costs more than the cap allows, the cost of "
+     "h_50000 of weights 1,2,3 (79278 bits)"),
     ("complement --n 10000000000000000000 --weights 1,2",
-     "complement needs n <= 50000, got 10000000000000000000"),
+     "complement: h_10000000000000000000 of 2 weights up to 2 in absolute "
+     "value (too large for a float estimate) costs more than the cap "
+     "allows, the cost of h_50000 of weights 1,2,3 (79278 bits)"),
     ("chern --weights 1,2,3 --truncation 200000",
      "chern needs truncation <= 6000, got 200000"),
     ("chern --weights 1,2,3 --n 6000",
@@ -785,7 +792,7 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
     ("cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3",
      "cohomology needs an estimated packed size <= 4000000 bytes, "
      "got 4013973 (n = 223000, k = 3)"),
-    # under the flag caps, but too large for the weights given
+    # at or below the reference sizes, but too large for the weights given
     ("complement --n 8000 --weights 1,1000000000000000000",
      "complement: h_8000 of 2 weights up to 1000000000000000000 in absolute "
      "value (an estimated 478371 bits) costs more than the cap allows, the "
@@ -862,6 +869,11 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
     (f"pontrjagin --n 5 --weights 1,2 --truncation {BIG}",
      f"the Pontrjagin series of n = 5 and weights 1,2 at truncation {BIG} "
      + PAST_A_FLOAT),
+    # past 2^44 terms, where the float estimate loses its precision;
+    # without that guard this one ran 12.8 s and printed 41 MB
+    ("pontrjagin --n 100000000000000000000 --weights 1,2 --truncation 3000",
+     "the Pontrjagin series of n = 100000000000000000000 and weights 1,2 "
+     "at truncation 3000 " + PAST_A_FLOAT),
 ])
 def test_oversized_inputs_are_refused(argv, message):
     # refused, not computed: without the caps the smaller sizes run for
@@ -894,6 +906,8 @@ def test_oversized_inputs_are_refused(argv, message):
      "cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3"),
     ("LensParams(100_000, 3, 1, 10**18)",
      "lens --d 100000 --m 3 --weights 1,1000000000000000000"),
+    ("tangent_pontrjagin(10**20, WeightTuple((1, 2)), truncation=3000)",
+     "pontrjagin --n 100000000000000000000 --weights 1,2 --truncation 3000"),
 ])
 def test_library_calls_past_a_cap_raise_at_once(capsys, call, argv):
     # the engine checks its own caps: a library call is refused with the
@@ -946,7 +960,7 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "homogeneous_sum", no_work)
     monkeypatch.setattr(cohomology, "nilpotency_order", no_work)
     assert main(["complement", "--n", str(costs.MAX_COMPLEMENT_N + 1),
-                 "--weights", "1,2"]) == 1
+                 "--weights", "1,2,3"]) == 1
     assert main(["chern", "--weights", "1,2", "--truncation",
                  str(costs.MAX_CHERN_TRUNCATION + 1)]) == 1
     assert main(["chern", "--weights", "1,2", "--n",
@@ -976,6 +990,27 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     assert captured.err.count("pstiefel: error: ") == 17
 
 
+@settings(max_examples=300, deadline=None)
+@given(small=st.integers(0, 40), large=st.integers(0, 2 ** 44))
+@example(small=0, large=0)
+@example(small=39, large=2 ** 44)
+def test_bits_is_within_a_quarter_bit_wherever_it_answers(small, large):
+    # log2 C(L + s, s) from lgamma, with either side as the degree, against
+    # the exact binomial: the guard at 2^44 terms keeps the float's loss
+    # under 0.25 bits (at most about 0.21 below 2^44, 20 near 2^50)
+    large = min(large, 2 ** 44 - small - 1)
+    exact = math.log2(math.comb(large + small, small))
+    assert abs(costs.bits(small + 1, large, 1) - exact) <= 0.25
+    assert abs(costs.bits(large + 1, small, 1) - exact) <= 0.25
+
+
+def test_bits_refuses_past_2_to_the_44_terms():
+    costs.bits(2 ** 44 - 1, 1, 1)
+    for count, r in ((2 ** 44, 1), (1, 2 ** 44), (2, 10 ** 400)):
+        with pytest.raises(OverflowError):
+            costs.bits(count, r, 1)
+
+
 @pytest.mark.parametrize("ws", [
     (1, 2, 3), (3, -2, 1), (-1, -2, -3), (1, 2), (2, 3), (1, 1, 1), (1, -1)])
 def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
@@ -990,10 +1025,14 @@ def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
 
 @pytest.mark.parametrize("n,ws", [
     (38_898, (1,) * 160), (4_590, (1,) * 200), (7_130, tuple(range(1, 11))),
-    (1_325, (1, 10 ** 18))])
+    (1_325, (1, 10 ** 18)),
+    # shapes that pass n = 50,000, the reference size: 1,1,1 reaches the
+    # float estimate's 2^44 terms
+    (79_262, (1, 2)), (17_592_186_044_413, (1, 1, 1)),
+    (6_438_587_965_023, (1,) * 80)])
 def test_complement_answers_the_largest_n_its_weights_allow(n, ws):
     # each shape at the largest n its sums cap accepts: the top sums by
-    # powering and the printed h_n answer in under 2 s
+    # powering, log2 n squarings, and the printed h_n answer in under 2 s
     ell = weights.WeightTuple(ws)
     costs.require_small_sums("complement", ell, n)
     with pytest.raises(ValueError, match="costs more than the cap allows"):
@@ -1007,6 +1046,25 @@ def test_complement_answers_the_largest_n_its_weights_allow(n, ws):
     assert (proc.returncode, proc.stderr) == (0, "")
     # positive weights: h_n > 0, so no complement of rank below n
     assert json.loads(proc.stdout)["result"]["lower_bound"] == str(n)
+
+
+def test_lens_answers_the_largest_d_its_weights_allow():
+    # weights 1,1 (h_d = d + 1) at the float estimate's 2^44 terms, far
+    # past the d <= 10^6 that weights 1,2 reach: the lens sums cap alone
+    # bounds d, and the closed form answers in under 2 s
+    d, ell = 17_592_186_044_414, weights.WeightTuple((1, 1))
+    costs.require_small_sums("lens", ell, d)
+    with pytest.raises(ValueError, match="too large for a float estimate"):
+        costs.require_small_sums("lens", ell, d + 1)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pstiefel", "lens", "--d", str(d), "--m", "3",
+         "--weights", "1,1", "--json"],
+        capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    criterion = json.loads(proc.stdout)["result"]["criterion"]
+    assert criterion["value"] == str(d + 1)
 
 
 @pytest.mark.parametrize("argv", [

@@ -411,11 +411,19 @@ class TestLensBounds:
             LensParams(3, 5, 2, 4)
 
     def test_join_dimension_cap(self):
-        # constructed only: a report at d = 10^19 would not finish
+        # constructed only: a report at d = 10^19 would not finish. The
+        # lens sums cap alone bounds d: at weights 1,2 it refuses every d
+        # past 10^6, and weights 1,1 (h_d = d + 1) pass far beyond
         assert LensParams(10 ** 6, 3, 1, 2).d == 10 ** 6
-        for d in (10 ** 6 + 1, 10 ** 19):
-            with pytest.raises(ValueError, match=f"need d <= 1000000, got {d}"):
+        assert LensParams(10 ** 12, 3, 1, 1).d == 10 ** 12
+        for d, size in ((10 ** 6 + 1, "an estimated 1000021 bits"),
+                        (10 ** 19, "too large for a float estimate")):
+            with pytest.raises(ValueError) as exc:
                 LensParams(d, 3, 1, 2)
+            assert str(exc.value) == (
+                f"lens: h_{d} of 2 weights up to 2 in absolute value "
+                f"({size}) costs more than the cap allows, the cost of "
+                "h_1000000 of weights 1,2 (1000020 bits)")
 
     def test_unit_sum_forces_full_rank(self):
         rep = lens_rank_bound(LensParams(3, 7, 1, 2))
