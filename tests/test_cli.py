@@ -770,10 +770,12 @@ PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
 @pytest.mark.parametrize("argv,message", [
     # the sums cap alone bounds complement: at the cap weights it refuses
     # every n past 50,000
-    ("complement --n 3000000 --weights 1,2,3",
-     "complement: h_3000000 of 3 weights up to 3 in absolute value (an "
-     "estimated 4754930 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
+    pytest.param(
+        "complement --n 3000000 --weights 1,2,3",
+        "complement: h_3000000 of 3 weights up to 3 in absolute value (an "
+        "estimated 4754930 bits) costs more than the cap allows, the cost of "
+        "h_50000 of weights 1,2,3 (79278 bits)",
+        id="complement --n 3000000 --weights 1,2,3-complement sums row"),
     ("complement --n 10000000000000000000 --weights 1,2",
      "complement: h_10000000000000000000 of 2 weights up to 2 in absolute "
      "value (too large for a float estimate) costs more than the cap "
