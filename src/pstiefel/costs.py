@@ -2,7 +2,7 @@
 runs on its input before its first table, series or scan.
 
     limit                 value    at the limit, cap weights, 2-vCPU VM
-    MAX_COMPLEMENT_N      50,000   h_{n-2..n} by powering: 0.1 s, 15 MB
+    MAX_COMPLEMENT_N      50,000   h_{n-2..n} by divided differences: 0.1 s
     MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON;
                                    kept: weights +-1 give sums of ~0 bits
     MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s;
@@ -75,7 +75,9 @@ def _require_cheap(what, unit: str, size, cap) -> None:
 # Each command's sums cap: whether it builds the table h_0..h_r or h_r
 # alone, and the (B, E, ops, text) of h_cap of the cap weights, computed
 # once, for require_small_sums to compare every request with. complement
-# prints one h_r, built by powering, and lens one closed form.
+# prints one h_r, read with h_{r-j+1}..h_{r-1} from a divided-difference
+# table of O(j^2) steps that the row does not price, and lens one closed
+# form.
 _SUMS_CAPS = {command: (table, (bits(len(weights), cap, max(weights)),
                                 cap + 1 if table else 1, len(weights),
                                 f"of h_{cap} of weights "

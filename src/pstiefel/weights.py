@@ -9,8 +9,9 @@ downstream is the complete homogeneous sum
                          of l_1^{i_1} * ... * l_k^{i_k},
 
 computed by the one-weight-at-a-time recurrence, for two weights by its
-closed form, the top ones from x^r mod prod_j (x - l_j). Direct enumeration
-over multisets of weights is an independent oracle for small ranges.
+closed form, the top ones as divided differences of a power of x at the
+weights. Direct enumeration over multisets of weights is an independent
+oracle for small ranges.
 The weighted line bundle sums over complex projective space have total
 Chern class prod_j (1 + l_j x), and the complement's Chern series is its
 inverse, whose x^r coefficient is (-1)^r h_r.
@@ -116,37 +117,30 @@ def homogeneous_sum(ell: WeightTuple, r: int,
 
 def homogeneous_top(ell: WeightTuple, r: int) -> list[int]:
     """[h_{r-j+1}, ..., h_r] exactly, 0 at negative indices, j the number
-    of nonzero weights. p = prod_j (x - l_j) is the recurrence's
-    characteristic polynomial, so x^m mod p = sum_t a_t x^t gives h_m =
-    sum_t a_t h_t (Fiduccia, SIAM J. Comput. 14, 1985): binary powering
-    from x^(m >> s) < x^j takes O(j^2 log r) products and builds no table
-    past h_{j-1}. Polynomials mod p are their j coefficients from x^0 up;
-    x times one is a shift less its top coefficient times p."""
-    ws = [w for w in ell if w]
+    of nonzero weights. h_m(x_0..x_s) is the divided difference of x^(m+s)
+    at the nodes x_0..x_s (Macdonald, I.2), and a zero node adds nothing
+    to h, so one Newton table of x^N, N = r + j - 1, at the sorted weights
+    and j - 1 zeros ends in h_r, h_{r-1}, ..., h_{r-j+1}: O(j^2)
+    subtractions and exact divisions, where a window of s + 1 equal nodes
+    v reads C(N, s) v^(N-s) (de Boor, Surveys in Approximation Theory 1,
+    2005). Sorting makes equal nodes adjacent."""
+    ws = sorted(w for w in ell if w)
     j = len(ws)
-    first = homogeneous_sums(ws, min(r, j - 1))
     if r < j:
+        first = homogeneous_sums(ws, r)
         return [0] * (j - 1 - r) + first
-    p = [1]
-    for w in ws:
-        p = [x - w * y for x, y in zip([0] + p, p + [0])]
-    m = r - j + 1
-    s = max(m.bit_length() - j.bit_length(), 0)
-    s += m >> s >= j
-    a = [int(t == m >> s) for t in range(j)]
-    for i in range(s - 1, -1, -1):
-        sq = [0] * j  # a^2 = sum_t a_t x^t a, by Horner from the top
-        for x in reversed(a):
-            hi = sq[-1]
-            sq = [u - hi * c + x * y for u, c, y in zip([0] + sq, p, a)]
-        a = sq
-        if m >> i & 1:
-            a = [u - a[-1] * c for u, c in zip([0] + a[:-1], p)]
-    top = []
-    for _ in range(j):
-        top.append(sum(map(operator.mul, a, first)))
-        a = [u - a[-1] * c for u, c in zip([0] + a[:-1], p)]
-    return top
+    n = r + j - 1
+    powers = {w: w ** n for w in ws}
+    c = [powers[w] for w in ws] + [0] * (j - 1)
+    x = ws + [0] * (j - 1)
+    for s in range(1, 2 * j - 1):
+        # windows of zeros alone stay 0: x^N vanishes to order N > s there
+        for i in range(min(j + s, 2 * j - 1) - 1, s - 1, -1):
+            d = x[i] - x[i - s]
+            # C(N, s) v^(N-s) from the window's C(N, s - 1) v^(N-s+1)
+            c[i] = ((c[i] - c[i - 1]) // d if d
+                    else c[i] * (n - s + 1) // (s * x[i]))
+    return c[j - 1:][::-1]
 
 
 def homogeneous_sum_bruteforce(ell: WeightTuple, r: int) -> int:

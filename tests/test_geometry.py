@@ -334,8 +334,8 @@ class TestComplementRank:
             cp_complement_min_rank(0, W(1, 2))
 
     def test_builds_one_table(self, monkeypatch):
-        # the only table is h_0..h_{j-1}; the bound reads h_38..h_40 from
-        # x^38 mod (x - 1)(x + 2)(x - 3)
+        # at n >= j the bound reads h_38..h_40 from one divided-difference
+        # table of x^42 and builds no h-table; below j it builds h_0..h_n
         calls = []
         original = weights.homogeneous_sums
 
@@ -345,8 +345,10 @@ class TestComplementRank:
 
         monkeypatch.setattr(weights, "homogeneous_sums", counted)
         rep = cp_complement_min_rank(40, W(1, -2, 3))
-        assert calls == [2]
+        assert calls == []
         assert rep.reason_index == 40
+        assert cp_complement_min_rank(3, W(1, -1, 2, 3)).reason_index == 3
+        assert calls == [3]
 
     def test_a_vanishing_window_is_an_invariant_violation(self, monkeypatch):
         # j consecutive zero sums past h_0 cannot occur; if the kernel gave

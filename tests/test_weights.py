@@ -165,6 +165,9 @@ class TestHomogeneousTop:
            r=st.one_of(st.integers(0, 6), st.integers(0, 300)))
     @example(ws=[0, 0, 5], r=0)
     @example(ws=[1, 2, 3, 4, 5, 6], r=4)
+    @example(ws=[1] * 12 + [2] * 5 + [-3] * 3, r=200)
+    @example(ws=[-3, 2, 1, 0, 2, -3, 1, 1, 0, 1] * 2, r=45)
+    @example(ws=[10 ** 18] * 4 + [-10 ** 18] * 3 + [-1, 1, 1], r=60)
     def test_matches_the_last_entries_of_the_table(self, ws, r):
         # zero weights drop out, and indices below 0 read as 0
         if not any(ws):
@@ -172,6 +175,39 @@ class TestHomogeneousTop:
         j = sum(1 for w in ws if w)
         table = [0] * j + homogeneous_sums(ws, r)
         assert homogeneous_top(ws, r) == table[-j:]
+
+    @pytest.mark.parametrize("ws", [
+        [1], [-2], [1, 1], [1, -1], [3, 0, -5], [2, 2, 2, 1],
+        [1] * 6 + [-2] * 3, list(range(-4, 5))])
+    def test_boundary_between_table_and_divided_differences(self, ws):
+        # r = j - 2 and j - 1 read the h-table, r = j the Newton table
+        j = sum(1 for w in ws if w)
+        for r in range(max(j - 2, 0), j + 1):
+            table = [0] * j + homogeneous_sums(ws, r)
+            assert homogeneous_top(ws, r) == table[-j:]
+
+    @pytest.mark.parametrize("j", [1, 2, 78])
+    def test_all_ones_are_binomials(self, j):
+        # h_m(1, ..., 1) of j ones is C(m + j - 1, j - 1)
+        for r in (0, 1, j - 1, j, 10 ** 6, 2 ** 40 + 3, 2 ** 44 - j):
+            want = [math.comb(m + j - 1, j - 1) if m >= 0 else 0
+                    for m in range(r - j + 1, r + 1)]
+            assert homogeneous_top([1] * j, r) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(l1=st.one_of(st.integers(-50, 50),
+                        st.integers(-10 ** 18, 10 ** 18)).filter(bool),
+           l2=st.one_of(st.integers(-50, 50),
+                        st.sampled_from([10 ** 18, -10 ** 18])).filter(bool),
+           r=st.integers(0, 400))
+    @example(l1=10 ** 18, l2=-10 ** 18, r=300)
+    @example(l1=-7, l2=7, r=51)
+    @example(l1=10 ** 18, l2=10 ** 18, r=64)
+    @example(l1=-10 ** 18, l2=1, r=1)
+    def test_two_weights_match_the_closed_form(self, l1, l2, r):
+        want = [homogeneous_sum((l1, l2), m) if m >= 0 else 0
+                for m in (r - 1, r)]
+        assert homogeneous_top([l1, l2], r) == want
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="negative degree"):
