@@ -1,23 +1,20 @@
 """Size caps: one cost estimate, and the checks each engine entry point
 runs on its input before its first table, series or scan.
 
-    limit                 value    at the limit, cap weights, 2-vCPU VM
-    MAX_COMPLEMENT_N      50,000   h_{n-2..n} by divided differences: 0.1 s
-    MAX_CHERN_TRUNCATION  6,000    Theta(T^2) digits: 0.84 s, 8.7 MB of JSON;
-                                   kept: weights +-1 give sums of ~0 bits
-    MAX_COHOMOLOGY_BYTES  4*10^6   n = 400, k = 200 (3.1 MB): 0.64 s;
-                                   k = 3 up to n = 222,000: 0.5 s, 66 MB
-    MAX_LENS_D            10^6     h_d's digits under --json: 1.4 s
-    MAX_SERIES_N          3,200    pontrjagin 0.84 s, 40 MB; 4n sweep 0.6 s
-                                   (weights 1,1 at n = 5,220: 2.3 s)
-    MAX_PRIME_BOUND       10^6     a sweep's sieve, one byte an integer
+    MAX_COMPLEMENT_N      reference request of the complement sums row
+    MAX_CHERN_TRUNCATION  chern's truncation, a flag cap: weights +-1 give
+                          sums of ~0 bits, which no estimate can see
+    MAX_COHOMOLOGY_BYTES  a presentation's packed Poincare product
+    MAX_LENS_D            reference request of the lens sums row
+    MAX_SERIES_N          reference request of the Pontrjagin series row
+    MAX_PRIME_BOUND       a sweep's sieve and check-claims' n
 
-The cap weights are CAP_WEIGHTS, LENS_CAP_WEIGHTS for lens and
-SERIES_CAP_WEIGHTS for the series. A request whose sums or series would
-cost more than at its cap with those weights is refused, so every size
-accepted at those weights stays accepted. That cost row alone bounds
-complement, lens and the series, whose limits above name its reference
-request; bits refuses past 2^44 terms, where a float loses the estimate.
+A sums or series row refuses what costs more than its reference request
+with its cap weights (CAP_WEIGHTS; LENS_CAP_WEIGHTS for lens and
+SERIES_CAP_WEIGHTS for the series), and alone bounds complement, lens
+and the series; bits refuses past 2^44 terms, where a float loses the
+estimate. The README states what each limit costs; tests/bounds.py
+checks it.
 """
 
 from __future__ import annotations

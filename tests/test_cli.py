@@ -18,6 +18,8 @@ import pstiefel.weights as weights
 from pstiefel import cli, costs
 from pstiefel.cli import REPORT_SCHEMA, main
 
+from bounds import ROWS, run
+
 
 def run_json(capsys, argv):
     rc = main(argv + ["--json"])
@@ -758,178 +760,25 @@ def test_sizes_past_memory_exit_1_without_a_traceback(argv, error):
     assert "Traceback" not in proc.stderr
 
 
-# a size past a float, about 10^308
-BIG = 10 ** 400
-# 4,300 digits, the most argparse reads as an int
-HUGE = 10 ** 4299
-PAST_A_FLOAT = ("(too large for a float estimate) costs more than the cap "
-                "allows, the cost at n = truncation = 3200 with weights 1,8 "
-                "(15362 bits)")
+def rows(test):
+    # the rows of tests/bounds.py that test reads, each under its own id
+    return [pytest.param(row, id=row.id) for row in ROWS if row.test == test]
 
 
-@pytest.mark.parametrize("argv,message", [
-    # the sums cap alone bounds complement: at the cap weights it refuses
-    # every n past 50,000
-    pytest.param(
-        "complement --n 3000000 --weights 1,2,3",
-        "complement: h_3000000 of 3 weights up to 3 in absolute value (an "
-        "estimated 4754930 bits) costs more than the cap allows, the cost of "
-        "h_50000 of weights 1,2,3 (79278 bits)",
-        id="complement --n 3000000 --weights 1,2,3-complement sums row"),
-    ("complement --n 10000000000000000000 --weights 1,2",
-     "complement: h_10000000000000000000 of 2 weights up to 2 in absolute "
-     "value (too large for a float estimate) costs more than the cap "
-     "allows, the cost of h_50000 of weights 1,2,3 (79278 bits)"),
-    ("chern --weights 1,2,3 --truncation 200000",
-     "chern needs truncation <= 6000, got 200000"),
-    ("chern --weights 1,2,3 --n 6000",
-     "chern needs truncation <= 6000, got 6001"),
-    ("chern --weights 1,2 --truncation 10000000000000000000",
-     "chern needs truncation <= 6000, got 10000000000000000000"),
-    ("chern --weights 1,2 --truncation 2000000000000000000",
-     "chern needs truncation <= 6000, got 2000000000000000000"),
-    ("cohomology --n 10000000 --k 2 --weights 1,2 --prime 3",
-     "cohomology needs an estimated packed size <= 4000000 bytes, "
-     "got 159999984 (n = 10000000, k = 2)"),
-    ("cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3",
-     "cohomology needs an estimated packed size <= 4000000 bytes, "
-     "got 4013973 (n = 223000, k = 3)"),
-    # at or below the reference sizes, but too large for the weights given
-    ("complement --n 8000 --weights 1,1000000000000000000",
-     "complement: h_8000 of 2 weights up to 1000000000000000000 in absolute "
-     "value (an estimated 478371 bits) costs more than the cap allows, the "
-     "cost of h_50000 of weights 1,2,3 (79278 bits)"),
-    ("complement --n 50000 --weights 1,2,3,4,5,6,7,8,9,10",
-     "complement: h_50000 of 10 weights up to 10 in absolute value (an "
-     "estimated 166218 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
-    ("complement --n 50000 --weights=" + ",".join(["1"] * 200),
-     "complement: h_50000 of 200 weights up to 1 in absolute value (an "
-     "estimated 1869 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
-    # costed as the one h_n complement prints: while the row priced the
-    # table h_0..h_n these answered, in 13-23, 7-11 and 6-10 s
-    ("complement --n 3474 --weights=" + ",".join(["1"] * 1000),
-     "complement: h_3474 of 1000 weights up to 1 in absolute value (an "
-     "estimated 3421 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
-    ("complement --n 8553 --weights=" + ",".join(["1"] * 500),
-     "complement: h_8553 of 500 weights up to 1 in absolute value (an "
-     "estimated 2780 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
-    (f"complement --n 115 --weights 1,{HUGE}",
-     f"complement: h_115 of 2 weights up to {HUGE} in absolute value (an "
-     "estimated 1642318 bits) costs more than the cap allows, the cost of "
-     "h_50000 of weights 1,2,3 (79278 bits)"),
-    ("chern --weights 1,1000000000000000000 --truncation 3000 --json",
-     "chern: h_2999 of 2 weights up to 1000000000000000000 in absolute value "
-     "(an estimated 179336 bits) costs more than the cap allows, the cost of "
-     "h_5999 of weights 1,2,3 (9532 bits)"),
-    ("chern --weights 1,2,3,4,5,6,7,8,9,10 --truncation 6000",
-     "chern: h_5999 of 10 weights up to 10 in absolute value (an estimated "
-     "20023 bits) costs more than the cap allows, the cost of h_5999 of "
-     "weights 1,2,3 (9532 bits)"),
-    ("lens --d 100000 --m 3 --weights 1,1000000000000000000 --json",
-     "lens: h_100000 of 2 weights up to 1000000000000000000 in absolute "
-     "value (an estimated 5979487 bits) costs more than the cap allows, the "
-     "cost of h_1000000 of weights 1,2 (1000020 bits)"),
-    # k >= 3 takes the packed-size cap alone, whatever the weights
-    ("cohomology --n 223000 --k 3 --weights 1,2,1000 --prime 3",
-     "cohomology needs an estimated packed size <= 4000000 bytes, "
-     "got 4013973 (n = 223000, k = 3)"),
-    # the integer Pontrjagin series, capped on its estimated size whatever
-    # command builds it
-    ("check-claims --n 999983 --weights 1,2",
-     "the Pontrjagin series of n = 999983 and weights 1,2 at truncation "
-     "999983 (an estimated 2804761 bits a coefficient) costs more than the "
-     "cap allows, the cost at n = truncation = 3200 with weights 1,8 "
-     "(15362 bits)"),
-    ("pontrjagin --n 2 --weights 1,8 --truncation 10000000",
-     "the Pontrjagin series of n = 2 and weights 1,8 at truncation 10000000 "
-     "(an estimated 30000079 bits a coefficient) costs more than the cap "
-     "allows, the cost at n = truncation = 3200 with weights 1,8 "
-     "(15362 bits)"),
-    ("span --n 3201 --weights 1,8 --prime-bound 5",
-     "the Pontrjagin series of n = 3201 and weights 1,8 at truncation 3201 "
-     "(an estimated 15371 bits a coefficient) costs more than the cap "
-     "allows, the cost at n = truncation = 3200 with weights 1,8 "
-     "(15362 bits)"),
-    # checked before the nilpotency order: refused before any work, and
-    # ahead of any refusal of p, an order the golden grid pins
-    ("span --n 1000000000000 --weights 1,2 --prime 3",
-     "the Pontrjagin series of n = 1000000000000 and weights 1,2 at "
-     "truncation 999999999999 (an estimated 2804820237194 bits a "
-     "coefficient) costs more than the cap allows, the cost at n = "
-     "truncation = 3200 with weights 1,8 (15362 bits)"),
-    # sizes a float cannot hold take the same cap, not an OverflowError
-    (f"pontrjagin --n {BIG} --weights 1,2 --truncation 5",
-     f"the Pontrjagin series of n = {BIG} and weights 1,2 at truncation 5 "
-     + PAST_A_FLOAT),
-    (f"span --n {BIG} --weights 1,2 --prime 3",
-     f"the Pontrjagin series of n = {BIG} and weights 1,2 at truncation "
-     f"{BIG - 1} " + PAST_A_FLOAT),
-    (f"pontrjagin --n 5 --weights 1,2 --truncation {BIG}",
-     f"the Pontrjagin series of n = 5 and weights 1,2 at truncation {BIG} "
-     + PAST_A_FLOAT),
-    # past 2^44 terms, where the float estimate loses its precision;
-    # without that guard this one ran 12.8 s and printed 41 MB
-    ("pontrjagin --n 100000000000000000000 --weights 1,2 --truncation 3000",
-     "the Pontrjagin series of n = 100000000000000000000 and weights 1,2 "
-     "at truncation 3000 " + PAST_A_FLOAT),
-])
-def test_oversized_inputs_are_refused(argv, message):
-    # refused, not computed: without the caps the smaller sizes run for
-    # seconds to minutes and take gigabytes
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pstiefel", *argv.split()],
-                          capture_output=True, text=True, timeout=5)
-    assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == f"pstiefel: error: {message}\n"
+@pytest.mark.parametrize("row", rows("refused"))
+def test_oversized_inputs_are_refused(row):
+    run(row)
 
 
-@pytest.mark.parametrize("call,argv", [
-    ("cp_complement_min_rank(8000, WeightTuple((1, 10**18)))",
-     "complement --n 8000 --weights 1,1000000000000000000"),
-    ("cp_complement_min_rank(3474, WeightTuple((1,) * 1000))",
-     "complement --n 3474 --weights=" + ",".join(["1"] * 1000)),
-    ("cp_complement_min_rank(8553, WeightTuple((1,) * 500))",
-     "complement --n 8553 --weights=" + ",".join(["1"] * 500)),
-    ("cp_complement_min_rank(115, WeightTuple((1, 10**4299)))",
-     f"complement --n 115 --weights 1,{HUGE}"),
-    ("complement_chern(WeightTuple((1, 10**18)), 3000)",
-     "chern --weights 1,1000000000000000000 --truncation 3000"),
-    ("presentation_odd(StiefelParams(10**7, 2, WeightTuple((1, 2))), 3)",
-     "cohomology --n 10000000 --k 2 --weights 1,2 --prime 3"),
-    ("presentation_mod2(10**7, WeightTuple((1, 2)))",
-     "cohomology --n 10000000 --k 2 --weights 1,2 --prime 2"),
-    ("presentation_odd(StiefelParams(223_000, 3, WeightTuple((1, 2, 3))), 3)",
-     "cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3"),
-    ("LensParams(100_000, 3, 1, 10**18)",
-     "lens --d 100000 --m 3 --weights 1,1000000000000000000"),
-    ("tangent_pontrjagin(10**20, WeightTuple((1, 2)), truncation=3000)",
-     "pontrjagin --n 100000000000000000000 --weights 1,2 --truncation 3000"),
-])
-def test_library_calls_past_a_cap_raise_at_once(capsys, call, argv):
-    # the engine checks its own caps: a library call is refused with the
-    # message its command prints, where unchecked it ran for seconds to
-    # minutes and took hundreds of megabytes
-    code = ("from pstiefel import *\n"
-            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)")
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=5)
-    assert time.perf_counter() - start < 1.0
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert main(argv.split()) == 1
-    assert proc.stdout == capsys.readouterr().err.replace(
-        "pstiefel: error: ", "", 1)
+@pytest.mark.parametrize("row", rows("library"))
+def test_library_calls_past_a_cap_raise_at_once(row):
+    run(row)
 
 
 def test_readme_states_every_cap():
     # each limit and each set of cap weights, as the README's table
-    # writes it: name, then value
+    # writes it: name, then value; and every row of the bounds table in
+    # the README's own words
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     names = [name for name in vars(costs)
              if name.startswith("MAX_") or name.endswith("CAP_WEIGHTS")]
@@ -939,6 +788,26 @@ def test_readme_states_every_cap():
         text = (f"{value:,}" if isinstance(value, int)
                 else ",".join(map(str, value)))
         assert f"| `{name}` | {text} |" in readme, name
+    words = " ".join(readme.split())
+    for row in ROWS:
+        assert row.readme in words, row.id
+
+
+def test_the_bounds_table_has_a_row_each_side_of_every_limit():
+    assert len({row.id for row in ROWS}) == len(ROWS)
+    assert {row.test for row in ROWS} == {
+        "refused", "library", "complement", "lens", "packed", "bound", "ci"}
+    assert [row.id for row in ROWS if row.seconds >= row.timeout] == []
+    # one row answered at each limit's reference request, one refused
+    # just past it
+    for name in (name for name in vars(costs) if name.startswith("MAX_")):
+        codes = sorted(row.code for row in ROWS if row.cap == name)
+        assert codes == [0, 1], name
+
+
+@pytest.mark.parametrize("row", rows("bound"))
+def test_stated_bounds_hold(row):
+    run(row)
 
 
 def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
@@ -961,35 +830,13 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "require_prime", no_work)
     monkeypatch.setattr(cohomology, "homogeneous_sum", no_work)
     monkeypatch.setattr(cohomology, "nilpotency_order", no_work)
-    assert main(["complement", "--n", str(costs.MAX_COMPLEMENT_N + 1),
-                 "--weights", "1,2,3"]) == 1
-    assert main(["chern", "--weights", "1,2", "--truncation",
-                 str(costs.MAX_CHERN_TRUNCATION + 1)]) == 1
-    assert main(["chern", "--weights", "1,2", "--n",
-                 str(costs.MAX_CHERN_TRUNCATION)]) == 1
-    for prime in ("2", "3"):
-        assert main(["cohomology", "--n", "10000000", "--k", "2",
-                     "--weights", "1,2", "--prime", prime]) == 1
-    # an estimated 4,013,973 bytes, with small and with large weights
-    for ws in ("1,2,3", "1,2,1000"):
-        assert main(["cohomology", "--n", "223000", "--k", "3",
-                     "--weights", ws, "--prime", "3"]) == 1
-    # an estimated 4,556,250 bytes
-    assert main(["cohomology", "--n", "450", "--k", "225",
-                 "--weights", ",".join(["1"] * 225), "--prime", "3"]) == 1
-    big = "1,1000000000000000000"
-    assert main(["complement", "--n", "8000", "--weights", big]) == 1
-    assert main(["chern", "--weights", big, "--truncation", "3000"]) == 1
-    assert main(["lens", "--d", "100000", "--m", "3", "--weights", big]) == 1
-    for argv in (["check-claims", "--n", "999983"],
-                 ["pontrjagin", "--n", "2", "--truncation", "10000000"],
-                 ["span", "--n", "3201"], ["immersion", "--n", "3201"],
-                 ["span", "--n", "3201", "--prime", "3"],
-                 ["immersion", "--n", "3201", "--prime", "3"]):
-        assert main(argv + ["--weights", "1,8"]) == 1
+    # every refusal of the bounds table
+    refusals = [row for row in ROWS if row.test == "refused"]
+    for row in refusals:
+        assert main(row.request.split()) == 1, row.id
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("pstiefel: error: ") == 17
+    assert captured.err.count("pstiefel: error: ") == len(refusals)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1025,66 +872,19 @@ def test_weight_caps_accept_every_size_the_flag_caps_accept(ws):
         costs.require_small_sums("lens", ell, costs.MAX_LENS_D)
 
 
-@pytest.mark.parametrize("n,ws", [
-    (38_898, (1,) * 160), (4_590, (1,) * 200), (7_130, tuple(range(1, 11))),
-    (1_325, (1, 10 ** 18)),
-    # shapes that pass n = 50,000, the reference size: 1,1,1 reaches the
-    # float estimate's 2^44 terms
-    (79_262, (1, 2)), (17_592_186_044_413, (1, 1, 1)),
-    (6_438_587_965_023, (1,) * 80)])
-def test_complement_answers_the_largest_n_its_weights_allow(n, ws):
-    # each shape at the largest n its sums cap accepts: the top sums by
-    # powering, log2 n squarings, and the printed h_n answer in under 2 s
-    ell = weights.WeightTuple(ws)
-    costs.require_small_sums("complement", ell, n)
-    with pytest.raises(ValueError, match="costs more than the cap allows"):
-        costs.require_small_sums("complement", ell, n + 1)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pstiefel", "complement", "--n", str(n),
-         "--weights=" + ",".join(map(str, ws)), "--json"],
-        capture_output=True, text=True, timeout=10)
-    assert time.perf_counter() - start < 2.0
-    assert (proc.returncode, proc.stderr) == (0, "")
-    # positive weights: h_n > 0, so no complement of rank below n
-    assert json.loads(proc.stdout)["result"]["lower_bound"] == str(n)
+@pytest.mark.parametrize("row", rows("complement"))
+def test_complement_answers_the_largest_n_its_weights_allow(row):
+    run(row)
 
 
 def test_lens_answers_the_largest_d_its_weights_allow():
-    # weights 1,1 (h_d = d + 1) at the float estimate's 2^44 terms, far
-    # past the d <= 10^6 that weights 1,2 reach: the lens sums cap alone
-    # bounds d, and the closed form answers in under 2 s
-    d, ell = 17_592_186_044_414, weights.WeightTuple((1, 1))
-    costs.require_small_sums("lens", ell, d)
-    with pytest.raises(ValueError, match="too large for a float estimate"):
-        costs.require_small_sums("lens", ell, d + 1)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pstiefel", "lens", "--d", str(d), "--m", "3",
-         "--weights", "1,1", "--json"],
-        capture_output=True, text=True, timeout=10)
-    assert time.perf_counter() - start < 2.0
-    assert (proc.returncode, proc.stderr) == (0, "")
-    criterion = json.loads(proc.stdout)["result"]["criterion"]
-    assert criterion["value"] == str(d + 1)
+    [row] = rows("lens")
+    run(row.values[0])
 
 
-@pytest.mark.parametrize("argv", [
-    "cohomology --n 50001 --k 3 --weights 1,2,3 --prime 3",
-    "cohomology --n 50000 --k 3 --weights 1,2,1000 --prime 3",
-    # the largest k = 3 under the packed-size cap, about 14.7 MB of JSON
-    "cohomology --n 222000 --k 3 --weights 1,2,1000 --prime 3",
-    "cohomology --n 45000 --k 10 --weights=" + ",".join(["1"] * 9 + ["2"])
-    + " --prime 3",
-])
-def test_k_at_least_3_is_bounded_by_the_packed_size_alone(argv):
-    # the nilpotency scan's tables are mod p, whatever the weights, so
-    # the packed-size cap alone bounds these: each answers in under 1 s
-    proc = subprocess.run(
-        [sys.executable, "-m", "pstiefel", *argv.split(), "--json"],
-        capture_output=True, text=True, timeout=10)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["result"]["invariants"]["passed"] is True
+@pytest.mark.parametrize("row", rows("packed"))
+def test_k_at_least_3_is_bounded_by_the_packed_size_alone(row):
+    run(row)
 
 
 def test_k_at_least_3_library_call_with_large_weights_answers():
@@ -1115,7 +915,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
 @pytest.mark.parametrize("ws,n", [((1, 8), 3200), ((1, 8), 1600),
                                   ((1, 2), 4000), ((1, -1), 4000)])
 def test_series_cap_admits_the_sizes_ci_runs(ws, n):
-    # CI's immersion and span steps, and n = 4000 for small weights; the
+    # two rows of tests/bounds.py, and n = 4000 for small weights; the
     # estimate grows with n and the truncation, so smaller sizes pass too
     costs.require_small_series(n, weights.WeightTuple(ws), n)
 

@@ -220,6 +220,9 @@ class TestBruteforceOracle:
         assert homogeneous_sum_bruteforce(WeightTuple((2, 1)), 3) == 15
 
     def test_range_guard(self):
+        # r = 12 and k = 6 answer; one past either is refused
+        assert homogeneous_sum_bruteforce(WeightTuple((1, 1)), 12) == 13
+        assert homogeneous_sum_bruteforce(WeightTuple((1,) * 6), 2) == 21
         with pytest.raises(ValueError, match="oracle range exceeded"):
             homogeneous_sum_bruteforce(WeightTuple((1, 1)), 13)
         with pytest.raises(ValueError, match="oracle range exceeded"):
