@@ -20,9 +20,9 @@ closed before the report is written, 2 for an internal invariant
 violation or a failed verification suite. A plain argv (a known
 command, then each of its flags at most once by its full name) is read
 straight from COMMANDS by _parse_plain, with no parser built. Anything
-else goes to argparse, through the parser of the named subcommand alone,
-or the full parser for help, an empty argv and unknown commands, so
-every help, usage and error message is argparse's.
+else goes to argparse, through the one parser of all nine subcommands,
+built only then (in 1-2 ms), so every help, usage and error message is
+argparse's.
 """
 
 from __future__ import annotations
@@ -423,9 +423,9 @@ _CERTIFICATE_ARGS = (_N, _WEIGHTS, ("--prime", {"type": int}),
 
 # One row per subcommand: name -> (handler, help text, arguments after
 # --json, each a flag and its add_argument options). build_parser adds
-# the rows it is asked for, in this order; _parse_plain reads a plain
-# argv from the same row, so an option may use only type=int, required,
-# default, help and action="store_true".
+# every row, in this order; _parse_plain reads a plain argv from the
+# same row, so an option may use only type=int, required, default, help
+# and action="store_true".
 COMMANDS = {
     "cohomology": (_cmd_cohomology,
                    "mod-p cohomology presentation of a quotient", (
@@ -467,21 +467,14 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the one named command only.
-    The restricted parser still lists all of them in its usage line."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = _Parser(
         prog="pstiefel",
         description="Exact mod-p topology of circle quotients of complex "
                     "Stiefel manifolds: presentations, certificates, bounds.")
-    # the full list only when restricted: on the full parser a metavar
-    # would rename the argument in its "invalid choice" error
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    rows = (COMMANDS.items() if command is None
-            else [(command, COMMANDS[command])])
-    for name, (func, help_text, arguments) in rows:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         for flag, options in (_JSON, *arguments):
@@ -490,13 +483,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace build_parser(argv[0]).parse_args(argv) returns, read
-    straight from the command's COMMANDS row, for a plain argv: a known
-    command, then each of its flags at most once by its full name, as
-    --flag value (a value not starting with -) or --flag=value, with
-    --json and store_true flags bare and every required flag given.
-    None for anything else, which argparse then parses, so help, usage
-    and every error still come from argparse."""
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    from the command's COMMANDS row, for a plain argv: a known command, then
+    each of its flags at most once by its full name, as --flag value (a value
+    not starting with -) or --flag=value, with --json and store_true flags
+    bare and every required flag given. None for anything else, which argparse
+    then parses, so help, usage and every error still come from argparse."""
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, arguments = COMMANDS[argv[0]]
@@ -550,11 +542,9 @@ def _any_int_digits():
 
 def main(argv: list[str] | None = None) -> int:
     argv = _bind_negative_weights(sys.argv[1:] if argv is None else argv)
-    # help, an empty argv and unknown commands get the full parser
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     # parsed under the limit, so huge integer flags are still refused;
     # argparse reads whatever the plain path declines
-    args = _parse_plain(argv) or build_parser(command).parse_args(argv)
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     with _any_int_digits():
         try:
             lines, fields = args.func(args)

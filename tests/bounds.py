@@ -146,6 +146,11 @@ REFUSED = [
          "weights 1,10^4299 at n = 115 (6-10 s"),
     over(f"chern --weights 1,{E18} --truncation 3000 --json", 179336,
          "`chern --weights 1,1000000000000000000 --truncation 3000`"),
+    # just past the largest sizes weights 1,10^18 are accepted at
+    over(f"chern --weights 1,{E18} --truncation 535", 31939,
+         "truncation 534 for `chern`"),
+    over(f"lens --d 16724 --m 3 --weights 1,{E18}", 1000021,
+         "d = 16,723 for `lens`"),
     over("chern --weights 1,2,3,4,5,6,7,8,9,10 --truncation 6000", 20023,
          "with weights 1..10 they are truncation 2,260"),
     over(f"lens --d 100000 --m 3 --weights 1,{E18} --json", 5979487,
@@ -246,6 +251,18 @@ ANSWERED = [
     answers("bound", f"cohomology --n 300 --k 150 --weights={ones(150)} "
             "--prime 3 --json", 20, 5.0, '"nilpotency_order": "243"',
             "a 2.8 MB `cohomology` report"),
+    # the series cap's reference request, whole, and the two series alone
+    answers("bound", "pontrjagin --n 3200 --weights 1,8 --json", 10, 2.0,
+            '"-207951"', "takes 0.84 s and 40 MB"),
+    answers("bound", "[s(3200, WeightTuple((1, 8))).coeffs[2] for s in "
+            "(tangent_pontrjagin, normal_pontrjagin)]", 5, 1.0,
+            "[-207951, 207951]", "takes 0.84 s and 40 MB", rss_mb=40),
+    answers("bound", f"cohomology --n 400 --k 200 --weights={ones(200)} "
+            "--prime 3 --json", 10, 2.0, '"nilpotency_order": "243"',
+            "n = 400, k = 200 is 3.1 MB, 0.64 s and 6.3 MB of JSON"),
+    answers("bound", f"chern --weights 1,{E18} --truncation 534 --json", 10,
+            2.0, '"truncation": "534"',
+            "truncation 534 for `chern` (0.7 s with `--json`)"),
     answers("bound", "total_chern(WeightTuple((1, 2, 3)), 6000).coeffs[:5]",
             10, 5.0, "(1, 6, 11, 6, 0)", FLAG),
     answers("ci", "chern --weights 1,2,3 --truncation 6000 --json", 20, 5.0,
@@ -255,6 +272,13 @@ ANSWERED = [
             8.0, '"span_bound": "17"', "78,498 primes", "MAX_PRIME_BOUND"),
     answers("ci", "lens --d 1000000 --m 3 --weights 1,2 --json", 20, 5.0,
             '"lower_bound": "1000000"', "takes about 1.4 s", "MAX_LENS_D"),
+    answers("ci", f"lens --d 16700 --m 3 --weights 1,{E18} --json", 20, 5.0,
+            '"lower_bound": "16699"', "1.5 s with `--json` at d = 16,700"),
+    # the worst accepted sweep: the per-prime scan, which the series cap
+    # does not bound, keeps it past the 1 s budget
+    answers("ci", "immersion --n 5220 --weights 1,1 --json", 20, 5.0,
+            '"claimed_dim": "26093"',
+            "`immersion --n 5220 --weights 1,1 --json` at 1.8-2.3 s"),
 ]
 
 ROWS = REFUSED + LIBRARY + ANSWERED

@@ -227,46 +227,27 @@ def _subcommands(parser):
     return list(action.choices)
 
 
-def _outcome(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("columns", ["100000", "40"])
-def test_per_command_parser_answers_as_the_full_parser(capsys, monkeypatch,
-                                                       columns):
-    # exit code, stdout and stderr byte for byte, usage wrapped or not
-    monkeypatch.setenv("COLUMNS", columns)
-    # verify with no flags would run every suite; the parsers are compared
+def test_argparse_gets_the_full_parser_for_what_the_plain_path_declines(
+        monkeypatch):
+    # verify with no flags would run every suite; only the parsers count
     monkeypatch.setattr(cli.verify_mod, "run_all", lambda quick: [])
-    cases = [[name, *flags] for name in cli.COMMANDS
-             for flags in PARSER_VARIANTS]
-    cases += [[], ["-h"], ["bogus"], ["--json"]]
     build, built = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: (
-        built.append(command) or build(command)))
-    restricted = {" ".join(argv): _outcome(capsys, argv) for argv in cases}
-    # the plain path reads two of them: verify alone, and chern, whose one
-    # required flag is --weights; argparse gets the rest
-    plain = {"verify", "chern --weights -3,4"}
-    assert built == [argv[0] for argv in cases[:-4]
-                     if " ".join(argv) not in plain] + [None] * 4
-    # the full side is argparse alone
-    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
-    full = {" ".join(argv): _outcome(capsys, argv) for argv in cases}
-    assert restricted == full
-
-
-def test_build_parser_adds_only_the_named_subcommand():
-    full = _subcommands(cli.build_parser())
-    assert len(full) == 9
-    assert full == list(cli.COMMANDS)
-    assert _subcommands(cli.build_parser("span")) == ["span"]
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(build()) or built[-1])
+    # the plain path reads two variants: verify alone, and chern, whose
+    # one required flag is --weights; every other builds one parser, of
+    # all nine subcommands
+    for name in cli.COMMANDS:
+        for flags in PARSER_VARIANTS:
+            argv = [name, *flags]
+            built.clear()
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            if " ".join(argv) in {"verify", "chern --weights -3,4"}:
+                assert built == [], argv
+            else:
+                assert [_subcommands(p) for p in built] == [
+                    list(cli.COMMANDS)], argv
 
 
 # One plain argv per command; span also with negative weights in both
@@ -293,7 +274,7 @@ def test_plain_argv_needs_no_parser(capsys, monkeypatch, argv):
         assert main(list(argv)) == 0
         want = capsys.readouterr()
 
-    def no_parser(command=None):
+    def no_parser():
         raise AssertionError(f"parser built for {argv}")
 
     monkeypatch.setattr(cli, "build_parser", no_parser)
@@ -367,11 +348,10 @@ def _argvs(draw):
 
 def _argparse_namespace(argv):
     """vars() of argparse's namespace for argv, or None where it exits."""
-    command = argv[0] if argv[0] in cli.COMMANDS else None
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         try:
-            return vars(cli.build_parser(command).parse_args(argv))
+            return vars(cli.build_parser().parse_args(argv))
         except SystemExit:
             return None
 
@@ -531,6 +511,18 @@ class TestLongAnswers:
             main(["complement", "--n", digits, "--weights", "1,2"])
         assert exc.value.code == 1
         assert "invalid int value" in capsys.readouterr().err
+
+
+def test_interpreters_without_the_digit_limit_answer_alike(capsys,
+                                                           monkeypatch):
+    # before 3.10.7 there is no limit, and neither its getter nor setter
+    argv = ["chern", "--weights", "1,-2,3", "--truncation", "6", "--json"]
+    assert main(list(argv)) == 0
+    want = capsys.readouterr()
+    for name in ("set_int_max_str_digits", "get_int_max_str_digits"):
+        monkeypatch.delattr(sys, name, raising=False)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr() == want
 
 
 class TestVerifyCommand:
