@@ -9,9 +9,10 @@ where every number is a decimal string so arbitrary precision survives
 serialization. Output is deterministic: identical invocations produce
 identical bytes. One recursive pass renders the report, byte for byte
 what json.dumps(..., indent=2, sort_keys=True) gives for the same report
-with every int written as its decimal string; it appends every piece to
-one list, joined once, and joins int lists in chunks, so a report of
-long int lists peaks at about twice its length. The size caps live in
+with ints as decimal strings and Certificates as objects; it appends
+every piece to one list, joined once, writes a certificate from the
+template of its shape and joins int lists in chunks, so a report of long
+int lists peaks at about twice its length. The size caps live in
 pstiefel.costs and are checked by the engine functions before any work;
 a request past one is invalid input like any other ValueError.
 Exit codes: 0 for any successfully computed answer (including DISCREPANT
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -48,6 +50,20 @@ from .weights import WeightTuple, complement_chern, total_chern
 
 NUMBER = {"type": "string", "pattern": "^-?[0-9]+$"}
 CERTIFICATE_KEYS = Certificate._fields  # only immersion has a claimed bound
+
+
+def _certificate_template(fields):
+    """A certificate's JSON object at indent "\n", as _emit writes a dict,
+    with a "%d" slot per field, and the getter of the fields in order."""
+    slots = dict.fromkeys(fields, '"%d"')
+    slots["basis"] = _quote(CERTIFICATE_BASIS)
+    return ("{\n  " + ",\n  ".join(_quote(key) + ": " + slots[key]
+                                   for key in sorted(slots)) + "\n}",
+            operator.attrgetter(*sorted(fields)))
+
+
+CERTIFICATE_TEMPLATES = {True: _certificate_template(CERTIFICATE_KEYS[:-1]),
+                         False: _certificate_template(CERTIFICATE_KEYS)}
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -110,10 +126,11 @@ RENDER_CHUNK = 1024
 def _render(obj) -> str:
     """JSON text of a report whose every int prints as a quoted decimal:
     sorted keys, two-space indentation, "," and ": " as separators, ASCII
-    strings. A list of plain ints is joined in chunks of RENDER_CHUNK;
-    bools stay true and false. Keys must be strings; a float or any other
-    type raises TypeError. Every piece goes to one list, joined once, so
-    a report of long int lists peaks at about twice its length."""
+    strings. Int lists are joined in chunks of RENDER_CHUNK, a Certificate
+    fills its CERTIFICATE_TEMPLATES entry, bools stay true and false. Keys
+    must be strings; a float or any other type raises TypeError. Every
+    piece goes to one list, joined once, so a report of long int lists
+    peaks at about twice its length."""
     pieces = []
     _emit(obj, "\n", pieces.append)
     return "".join(pieces)
@@ -149,6 +166,9 @@ def _emit(obj, indent: str, put) -> None:
                 _emit(value, inner, put)
             lead = sep
         put(indent + "}")
+    elif isinstance(obj, Certificate):  # a tuple, so ahead of that branch
+        template, fields = CERTIFICATE_TEMPLATES[obj.claimed is None]
+        put(template.replace("\n", indent) % fields(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             put("[]")
@@ -179,13 +199,6 @@ def _series_payload(series) -> dict:
         "truncation": series.truncation,
         "modulus": series.modulus,
     }
-
-
-def _certificate_payload(cert) -> dict:
-    payload = dict(zip(CERTIFICATE_KEYS, cert), basis=CERTIFICATE_BASIS)
-    if cert.claimed is None:
-        del payload["claimed"]
-    return payload
 
 
 def _rank_report(rep: RankBoundReport, params: dict):
@@ -350,8 +363,7 @@ def _cmd_certificates(args):
             lines.append(f"best: {claim(best)} (p={best.prime})" if best
                          else f"no {kind} certificate found")
     return lines, {"params": params, "result": result,
-                   "certificates": [_certificate_payload(c) for c in certs],
-                   "diagnostics": diagnostics}
+                   "certificates": certs, "diagnostics": diagnostics}
 
 
 def _cmd_complement(args):

@@ -70,29 +70,37 @@ def primes_upto(bound: int) -> list[int]:
     return [q for q in range(2, bound + 1) if sieve[q]]
 
 
-# As Miller-Rabin bases, the first 13 primes decide every n below the
-# limit (Sorenson and Webster, Math. Comp. 86, 2017).
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMORIAL = math.prod(SMALL_PRIMES)
 MILLER_RABIN_LIMIT = 3317044064679887385961981
+# (psi_t, t): as Miller-Rabin bases, the first t primes decide every n below
+# psi_t, the least strong pseudoprime to them all; psi_8 = psi_7 and psi_9 =
+# psi_10 = psi_11 (Pomerance et al., Math. Comp. 35, 1980; Jaeschke, 61,
+# 1993; Jiang and Deng, 83, 2014; Sorenson and Webster, 86, 2017).
+MILLER_RABIN_BASES = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+    (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+    (3825123056546413051, 9), (318665857834031151167461, 12),
+    (MILLER_RABIN_LIMIT, 13))
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality below MILLER_RABIN_LIMIT (ValueError above it):
-    trial division by SMALL_PRIMES, then Miller-Rabin with them as bases."""
+    """Exact primality below MILLER_RABIN_LIMIT (ValueError above it): one
+    gcd with PRIMORIAL, then Miller-Rabin with MILLER_RABIN_BASES' bases."""
     if n >= MILLER_RABIN_LIMIT:
         raise ValueError(
             f"{n} is too large: primality is decided only below "
             f"{MILLER_RABIN_LIMIT}")
-    for q in SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
+    if math.gcd(n, PRIMORIAL) != 1:
+        return n in SMALL_PRIMES
     if n < SMALL_PRIMES[-1] ** 2:
         return n > 1
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in SMALL_PRIMES:
+    count = next(t for psi, t in MILLER_RABIN_BASES if n < psi)
+    for a in SMALL_PRIMES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

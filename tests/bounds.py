@@ -269,7 +269,7 @@ ANSWERED = [
             '"truncation": "6000"', "0.84 s for 8.7 MB of JSON",
             "MAX_CHERN_TRUNCATION"),
     answers("ci", "span --n 7 --weights 1,2 --prime-bound 1000000 --json", 30,
-            8.0, '"span_bound": "17"', "78,498 primes", "MAX_PRIME_BOUND"),
+            4.0, '"span_bound": "17"', "78,498 primes", "MAX_PRIME_BOUND"),
     answers("ci", "lens --d 1000000 --m 3 --weights 1,2 --json", 20, 5.0,
             '"lower_bound": "1000000"', "takes about 1.4 s", "MAX_LENS_D"),
     answers("ci", f"lens --d 16700 --m 3 --weights 1,{E18} --json", 20, 5.0,

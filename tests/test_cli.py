@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import pstiefel.weights as weights
 from pstiefel import cli, costs
 from pstiefel.cli import REPORT_SCHEMA, main
+from pstiefel.geometry import CERTIFICATE_BASIS, Certificate
 
 from bounds import ROWS, run
 
@@ -649,10 +650,22 @@ class TestDeterminism:
             assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def certificate_payload(cert):
+    """The dict of a certificate's JSON object, keyed by its fields and
+    basis, without claimed for span: the oracle of the templates."""
+    payload = dict(zip(cli.CERTIFICATE_KEYS, cert), basis=CERTIFICATE_BASIS)
+    if cert.claimed is None:
+        del payload["claimed"]
+    return payload
+
+
 def stringify(obj):
-    """Numbers to decimal strings, recursively; booleans stay booleans."""
+    """Numbers to decimal strings, recursively; booleans stay booleans and
+    certificates become their payload dicts."""
     if isinstance(obj, bool):
         return obj
+    if isinstance(obj, Certificate):
+        return stringify(certificate_payload(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, dict):
@@ -673,7 +686,13 @@ def two_pass(obj):
 TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | \
     st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\U0001d11e", "\ud800"])
 INTS = st.integers() | st.integers(-10 ** 5000, 10 ** 5000)
-LEAVES = (TEXT | INTS | st.booleans() | st.none()
+# span certificates (claimed None) and immersion ones (claimed = bound + 1)
+CERTIFICATES = st.builds(
+    lambda prime, index, witness, bound, immersion: Certificate(
+        prime, index, witness, bound, bound + 1 if immersion else None),
+    st.integers(), st.integers(min_value=1), INTS.filter(bool), INTS,
+    st.booleans())
+LEAVES = (TEXT | INTS | st.booleans() | st.none() | CERTIFICATES
           | st.lists(INTS, max_size=6)
           | st.lists(INTS | st.booleans(), max_size=6))
 REPORTS = st.recursive(
@@ -690,6 +709,15 @@ def chunk_edge(length):
     return [(-1) ** i * 7 ** (i % 470) for i in range(length)]
 
 
+def render_peak(report):
+    """The rendered report and the renderer's peak traced memory."""
+    tracemalloc.start()
+    try:
+        return cli._render(report), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRender:
     @settings(max_examples=300, deadline=None)
     @given(report=REPORTS)
@@ -699,6 +727,11 @@ class TestRender:
     @example(report=[chunk_edge(1025), [chunk_edge(2049)]])
     # a long list that ends in a bool still renders element by element
     @example(report={"c": chunk_edge(2048) + [True]})
+    # a sweep's list of both shapes, and a record nested deeper (its ints
+    # under 4,300 digits, since Hypothesis prints an example by its repr)
+    @example(report={"certificates": [Certificate(3, 1, -2, 21),
+                                      Certificate(7, 2, 6, 24, 25)],
+                     "d": [[Certificate(5, 10 ** 400, 1, -(10 ** 4000))]]})
     def test_matches_the_two_pass_encoder(self, report):
         with cli._any_int_digits():
             assert cli._render(report) == two_pass(report)
@@ -712,13 +745,18 @@ class TestRender:
     def test_peak_memory_is_about_twice_the_report(self):
         report = {"result": {"coefficients": list(range(100_000)),
                              "truncation": 100_000}}
-        tracemalloc.start()
-        try:
-            out = cli._render(report)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = render_peak(report)
         assert peak <= 2.2 * len(out)
+
+    def test_sweep_report_peaks_under_three_times_its_length(self):
+        # the default sweep, 195 certificates of about 130 bytes each
+        args = cli._parse_plain(["span", "--n", "300", "--weights", "1,2",
+                                 "--json"])
+        report = {"command": "span", "claim_checks": [],
+                  **args.func(args)[1]}
+        out, peak = render_peak(report)
+        assert len(report["certificates"]) > 100
+        assert peak <= 2.8 * len(out)
 
 
 def test_module_entry_point():

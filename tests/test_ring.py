@@ -79,6 +79,14 @@ def is_prime_by_trial_division(n: int) -> bool:
     return True
 
 
+# psi_t, the least strong pseudoprime to the first t primes as bases, for
+# t = 1..12 (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993; Jiang
+# and Deng 2014)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461)
+
+
 class TestMillerRabin:
     def test_matches_trial_division_below_1e5(self):
         for n in range(-3, 10 ** 5):
@@ -91,6 +99,17 @@ class TestMillerRabin:
         assert not is_prime(3825123056546413051)
         assert not is_prime(318665857834031151167461)
         assert not is_prime(1000000000000000003 * 1000003)
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_least_strong_pseudoprime_to_t_bases_is_composite(self, t):
+        # a row of MILLER_RABIN_BASES read with <= for <, or one base
+        # short, takes psi_t for prime (psi_13, the limit, is refused)
+        assert not is_prime(PSI[t - 1])
+
+    def test_matches_trial_division_around_psi_1_to_4(self):
+        for psi in PSI[:4]:
+            for n in range(psi - 100, psi + 101):
+                assert is_prime(n) == is_prime_by_trial_division(n), n
 
     def test_rejects_input_beyond_the_proven_range(self):
         with pytest.raises(ValueError, match="too large"):
