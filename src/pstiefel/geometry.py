@@ -15,17 +15,18 @@ admissible power of x is an honest nonvanishing integral class:
     out immersions into euclidean space of dimension 4n - 6 + 2j.
 
 Admissible means x^{2i} survives in mod-p cohomology, i.e. 2i is below
-the nilpotency order. Reduction mod p is a ring map, so one exact
-series over Z serves every prime: a certificate reduces that series'
-coefficients mod p, and a prime sweep or claim check builds the series
-once and reads it for each of its primes. No closed-form shortcut is
-ever used, which is the point: the closed-form claims are checked
-against these computations and the verdict (AGREE or DISCREPANT) is
-reported as data. With F = (1 - l1^2 x^2)(1 - l2^2 x^2) and
-D = 1 - (l2 - l1)^2 x^2 the tangent series is F^n D^{-1}, one power
-divided by D in one triangular solve (D.inv(F^n)), and the normal one
-F^{-n} D, one power times D. A series, complement or lens report or
-prime sweep past its cap in pstiefel.costs is refused before any work.
+the nilpotency order, n - 1 or n. Reduction mod p is a ring map, so one
+exact series over Z at truncation n serves every prime: a certificate
+reduces its coefficients mod p, and one prime, a prime sweep and a claim
+check build it by the same call, a sweep or check once for all of its
+primes. No closed-form shortcut is ever used, which is the point: the
+closed-form claims are checked against these computations and the
+verdict (AGREE or DISCREPANT) is reported as data. With
+F = (1 - l1^2 x^2)(1 - l2^2 x^2) and D = 1 - (l2 - l1)^2 x^2 the tangent
+series is F^n D^{-1}, one power divided by D in one triangular solve
+(D.inv(F^n)), and the normal one F^{-n} D, one power times D. A series,
+complement or lens report or prime sweep past its cap in pstiefel.costs
+is refused before any work.
 Independent routes to these coefficients live outside the engine: the
 tests' dense repeated-squaring and schoolbook oracles and ``math.comb``
 expansion, and the benchmark's oracle.
@@ -114,31 +115,22 @@ class Certificate(namedtuple("Certificate",
         return tuple.__new__(cls, (prime, index, witness, bound, claimed))
 
 
-def _certificate(n: int, ell: WeightTuple, p: int, pontrjagin, series, make):
+def _certificate(n: int, ell: WeightTuple, p: int,
+                 series: TruncatedSeries, make):
     """make(index, witness) at the largest admissible index whose
-    coefficient in the integer series pontrjagin(n, ell) is nonzero mod
-    p; None when every admissible coefficient vanishes. series, when
-    given, is that integer series truncated at the nilpotency order or
-    beyond; otherwise it is built at exactly that truncation, n - 1 or n,
-    and the series cap is checked at n - 1 first, so a request past it is
-    refused before any work and before any refusal of p. A
-    non-prime p is refused by nilpotency_order, and p = 2 right after it."""
-    _require_two_frames(ell, n)
-    if series is None:
-        costs.require_small_series(n, ell, n - 1)
+    coefficient in series, an integer Pontrjagin series truncated at the
+    nilpotency order or beyond, is nonzero mod p; None when every
+    admissible coefficient vanishes. A non-prime p is refused by
+    nilpotency_order, and p = 2 right after it."""
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
     if p == 2:
         raise ValueError(
             "certificates use odd primes only; the Pontrjagin series "
             "identity holds up to 2-torsion, which mod 2 proves nothing")
-    if series is not None and (series.modulus or series.truncation < order):
+    if series.modulus or series.truncation < order:
         raise ValueError(
             f"need an integer series truncated at {order} or beyond, got "
             f"truncation {series.truncation} modulo {series.modulus}")
-    if order < 3:
-        return None
-    if series is None:
-        series = pontrjagin(n, ell, truncation=order)
     coeffs = series.coeffs
     for i in range((order - 1) // 2, 0, -1):
         w = coeffs[2 * i] % p
@@ -155,7 +147,9 @@ def span_certificate(n: int, ell: WeightTuple, p: int,
                      ) -> Certificate | None:
     """Best direct span bound mod p, from the integer tangent series
     (tangent_pontrjagin(n, ell), built here unless given)."""
-    return _certificate(n, ell, p, tangent_pontrjagin, series, lambda i, w:
+    if series is None:
+        series = tangent_pontrjagin(n, ell, truncation=n)
+    return _certificate(n, ell, p, series, lambda i, w:
                         Certificate(p, i, w, (4 * n - 5) - 2 * i))
 
 
@@ -164,7 +158,9 @@ def immersion_certificate(n: int, ell: WeightTuple, p: int,
                           ) -> Certificate | None:
     """Best direct non-immersion bound mod p, from the integer normal
     series (normal_pontrjagin(n, ell), built here unless given)."""
-    return _certificate(n, ell, p, normal_pontrjagin, series, lambda j, w:
+    if series is None:
+        series = normal_pontrjagin(n, ell, truncation=n)
+    return _certificate(n, ell, p, series, lambda j, w:
                         Certificate(p, j, w, (4 * n - 6) + 2 * j,
                                     (4 * n - 5) + 2 * j))
 

@@ -56,7 +56,7 @@ def refused(argv, message, readme, cap=None, id=None):
 def over(argv, bits, readme, cap=None, id=None):
     """Refused by a cost row at an estimate of bits (None: past a float):
     h_r of its weights, r its --n or --d or one below its --truncation;
-    else its Pontrjagin series, to n - 1 for one prime and n otherwise."""
+    else its Pontrjagin series, to its --truncation or n."""
     command, *words = argv.replace("=", " ").split()
     flag = dict(zip(words[::2], words[1::2]))
     ws = flag["--weights"]
@@ -68,7 +68,7 @@ def over(argv, bits, readme, cap=None, id=None):
                             f"{max(ell)} in absolute value", "", CAPS[command])
     else:
         n = int(flag["--n"])
-        truncation = flag.get("--truncation") or n - ("--prime" in flag)
+        truncation = flag.get("--truncation") or n
         what, unit, cost = (f"the Pontrjagin series of n = {n} and weights "
                             f"{ws} at truncation {truncation}",
                             " a coefficient", SERIES_CAP)
@@ -171,13 +171,19 @@ REFUSED = [
          "`pontrjagin --n 2 --weights 1,8 "),
     over("span --n 3201 --weights 1,8 --prime-bound 5", 15371,
          "the integer Pontrjagin series, whichever", "MAX_SERIES_N"),
-    *(over(f"{kind} --n 3201 --weights 1,8{prime}", 15362 if prime else 15371,
+    *(over(f"{kind} --n 3201 --weights 1,8{prime}", 15371,
            "the integer Pontrjagin series, whichever")
       for kind in ("span", "immersion") for prime in ("", " --prime 3")),
-    # checked before the nilpotency order: refused before any work, and
-    # ahead of any refusal of p, an order the golden grid pins
+    # one prime builds the series a sweep builds, so its cap is checked
+    # at truncation n, whatever p: refused before any work, and ahead of
+    # any refusal of p, an order the golden grid pins
     over("span --n 1000000000000 --weights 1,2 --prime 3", 2804820237194,
          "check the series cap before the nilpotency order"),
+    # past the cap at truncation n but not at n - 1: one prime is refused
+    # as the sweep is, whatever its nilpotency order (n - 1 for 3, n for
+    # 41, which divides h_{n-1})
+    over("span --n 2965 --weights=-12,-11 --prime 3", 15971,
+         "capped as a sweep is, at truncation n"),
     # sizes a float cannot hold take the same cap, not an OverflowError
     over(f"pontrjagin --n {BIG} --weights 1,2 --truncation 5", None, DIGITS),
     over(f"span --n {BIG} --weights 1,2 --prime 3", None, DIGITS),

@@ -686,11 +686,13 @@ def two_pass(obj):
 TEXT = st.text(st.characters(exclude_categories=()), max_size=8) | \
     st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\U0001d11e", "\ud800"])
 INTS = st.integers() | st.integers(-10 ** 5000, 10 ** 5000)
-# span certificates (claimed None) and immersion ones (claimed = bound + 1)
+# span certificates (claimed None) and immersion ones (claimed = bound + 1);
+# a nonzero witness by map, since a filter's retry event takes the repr
+# of INTS, whose 5,001-digit bound no int-to-str conversion allows
 CERTIFICATES = st.builds(
     lambda prime, index, witness, bound, immersion: Certificate(
         prime, index, witness, bound, bound + 1 if immersion else None),
-    st.integers(), st.integers(min_value=1), INTS.filter(bool), INTS,
+    st.integers(), st.integers(min_value=1), INTS.map(lambda w: w or 1), INTS,
     st.booleans())
 LEAVES = (TEXT | INTS | st.booleans() | st.none() | CERTIFICATES
           | st.lists(INTS, max_size=6)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pstiefel.cohomology as cohomology
+import pstiefel.costs as costs
 from pstiefel.cohomology import (CohomologyPresentation, InvariantViolation,
                                  StiefelParams, check_presentation_invariants,
                                  nilpotency_order, poincare_polynomial,
@@ -57,6 +58,20 @@ class TestStiefelParams:
                 width = max(1, (rank.bit_length() + 7) // 8)
                 assert (pr.dimension + 1) * width <= packed_poincare_bytes(
                     n, k)
+
+    def test_presentation_cap_admits_its_own_size(self, monkeypatch):
+        # answered with the cap at exactly its packed size, refused one
+        # byte below it
+        size = packed_poincare_bytes(6, 2)
+        monkeypatch.setattr(costs, "MAX_COHOMOLOGY_BYTES", size)
+        assert presentation_odd(params(6, 2, (1, 2)), 3).nilpotency_order
+        assert presentation_mod2(6, WeightTuple((1, 2))).nilpotency_order
+        monkeypatch.setattr(costs, "MAX_COHOMOLOGY_BYTES", size - 1)
+        refusal = f"<= {size - 1} bytes, got {size} \\(n = 6, k = 2\\)$"
+        with pytest.raises(ValueError, match=refusal):
+            presentation_odd(params(6, 2, (1, 2)), 3)
+        with pytest.raises(ValueError, match=refusal):
+            presentation_mod2(6, WeightTuple((1, 2)))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):

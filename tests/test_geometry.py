@@ -183,6 +183,35 @@ class TestCertificateInput:
                            match="^need n >= 2 for two frames, got 1$"):
             certificate(1, W(1, 2), 3)
 
+    @pytest.mark.parametrize("certificate,sweep", [
+        (span_certificate, best_span_bound),
+        (immersion_certificate, best_immersion_bound)])
+    def test_one_prime_is_capped_as_the_sweep_is(self, certificate, sweep):
+        # 41 divides h_{n-1}, so its nilpotency order is n and 3's is
+        # n - 1: the series cap refuses both, at truncation n, as it
+        # refuses the sweep
+        with pytest.raises(ValueError, match="at truncation 2965 ") as swept:
+            sweep(2965, W(-12, -11), 41)
+        for p in (3, 41):
+            with pytest.raises(ValueError) as one:
+                certificate(2965, W(-12, -11), p)
+            assert str(one.value) == str(swept.value)
+
+    @pytest.mark.parametrize("certificate,sweep,pontrjagin", [
+        (span_certificate, best_span_bound, "tangent_pontrjagin"),
+        (immersion_certificate, best_immersion_bound, "normal_pontrjagin")])
+    def test_one_prime_builds_the_series_the_sweep_builds(
+            self, monkeypatch, certificate, sweep, pontrjagin):
+        calls = []
+        original = getattr(geometry, pontrjagin)
+        monkeypatch.setattr(geometry, pontrjagin, lambda *args, **kwargs:
+                            calls.append((args, kwargs))
+                            or original(*args, **kwargs))
+        # 5 does not divide h_8 = 2^9 - 1, so its nilpotency order is 8
+        one = certificate(9, W(1, 2), 5)
+        assert one in sweep(9, W(1, 2), 5).certificates
+        assert calls == [((9, W(1, 2)), {"truncation": 9})] * 2
+
     def test_one_primality_test_per_attempt(self, monkeypatch):
         calls = []
         original = ring.is_prime

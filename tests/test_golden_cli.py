@@ -5,8 +5,8 @@ maps the space-joined argv to the sha256 of its (exit code, stdout,
 stderr), recorded from a known-good tree. A refactor that keeps the
 output keeps every digest.
 
-Re-record after an intended output change, then review the diff of the
-JSON file entry by entry:
+Re-record after an intended output change; the script names on stderr
+each case whose digest changed, was added or was removed:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -146,5 +146,13 @@ def test_golden_grid():
 
 if __name__ == "__main__":
     table = {" ".join(argv): digest(argv) for argv in CASES}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for key in sorted(old.keys() | table.keys()):
+        if key not in old:
+            print(f"added: {key}", file=sys.stderr)
+        elif key not in table:
+            print(f"removed: {key}", file=sys.stderr)
+        elif old[key] != table[key]:
+            print(f"changed: {key}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(table)} cases in {GOLDEN}", file=sys.stderr)
