@@ -118,14 +118,18 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
     p), not one table per step.
     """
     require_prime(p)
-    ell, window = params.ell, range(params.n - params.k + 1, params.n + 1)
-    closed_form = len(ell) == 2
-    for r in window if closed_form else window[:1]:
-        if homogeneous_sum(ell, r, p):
-            return r
-    if not closed_form:
-        hs = homogeneous_sums(ell, window[-1], p)
-        for r in window[1:]:
+    n, ell = params.n, params.ell
+    if len(ell) == 2:
+        if homogeneous_sum(ell, n - 1, p):
+            return n - 1
+        if homogeneous_sum(ell, n, p):
+            return n
+    else:
+        first = n - params.k + 1
+        if homogeneous_sum(ell, first, p):
+            return first
+        hs = homogeneous_sums(ell, n, p)
+        for r in range(first + 1, n + 1):
             if hs[r]:
                 return r
     raise InvariantViolation(

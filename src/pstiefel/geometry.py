@@ -24,7 +24,10 @@ closed-form claims are checked against these computations and the
 verdict (AGREE or DISCREPANT) is reported as data. With
 F = (1 - l1^2 x^2)(1 - l2^2 x^2) and D = 1 - (l2 - l1)^2 x^2 the tangent
 series is F^n D^{-1}, one power divided by D in one triangular solve
-(D.inv(F^n)), and the normal one F^{-n} D, one power times D. A series,
+(D.inv(F^n)), and the normal one F^{-n} D, one power times D. Both are
+series in y = x^2, so they are built in y at truncation ceil(T/2), half
+the steps of a build in x, and spread onto the even powers of x of a
+series truncated at T; caps and refusals read T itself. A series,
 complement or lens report or prime sweep past its cap in pstiefel.costs
 is refused before any work.
 Independent routes to these coefficients live outside the engine: the
@@ -67,17 +70,24 @@ def _require_two_frames(ell: WeightTuple, n: int) -> None:
 def _pontrjagin(n: int, ell: WeightTuple, modulus: int,
                 truncation: int | None, sign: int) -> TruncatedSeries:
     """The tangent series for sign 1, its inverse (the normal one) for -1:
-    F^n divided by D in one triangular solve, or F^-n times D."""
+    F^n divided by D in one triangular solve, or F^-n times D, built in
+    y = x^2 and spread onto the even powers of x."""
     _require_two_frames(ell, n)
     T = n if truncation is None else truncation
     costs.require_small_series(n, ell, T)
     l1, l2 = ell
-    # (1 - l1^2 x^2)(1 - l2^2 x^2), so one power serves both frames
-    frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
-                             T, modulus)
-    diff = TruncatedSeries([1, 0, -(l2 - l1) ** 2], T, modulus)
-    return (diff.inv(frames.int_pow(n)) if sign > 0
+    # x^0, x^2, ... below x^T are the ceil(T/2) powers of y below y^half;
+    # a T below 1 is kept, so that its refusal names the caller's T
+    half = (T + 1) // 2 if T > 0 else T
+    # (1 - l1^2 y)(1 - l2^2 y), so one power serves both frames
+    frames = TruncatedSeries([1, -(l1 * l1 + l2 * l2), (l1 * l2) ** 2],
+                             half, modulus)
+    diff = TruncatedSeries([1, -(l2 - l1) ** 2], half, modulus)
+    in_y = (diff.inv(frames.int_pow(n)) if sign > 0
             else frames.int_pow(-n).mul(diff))
+    coeffs = [0] * T
+    coeffs[::2] = in_y.coeffs
+    return TruncatedSeries(coeffs, T, modulus)
 
 
 def tangent_pontrjagin(n: int, ell: WeightTuple, modulus: int = 0,
@@ -116,12 +126,13 @@ class Certificate(namedtuple("Certificate",
 
 
 def _certificate(n: int, ell: WeightTuple, p: int,
-                 series: TruncatedSeries, make):
-    """make(index, witness) at the largest admissible index whose
-    coefficient in series, an integer Pontrjagin series truncated at the
-    nilpotency order or beyond, is nonzero mod p; None when every
-    admissible coefficient vanishes. A non-prime p is refused by
-    nilpotency_order, and p = 2 right after it."""
+                 series: TruncatedSeries, sign: int) -> Certificate | None:
+    """The certificate at the largest admissible index whose coefficient
+    in series, an integer Pontrjagin series truncated at the nilpotency
+    order or beyond, is nonzero mod p: a span bound from the tangent
+    series for sign 1, a non-immersion bound from the normal one for -1;
+    None when every admissible coefficient vanishes. A non-prime p is
+    refused by nilpotency_order, and p = 2 right after it."""
     order = nilpotency_order(StiefelParams(n, 2, ell), p)
     if p == 2:
         raise ValueError(
@@ -135,7 +146,10 @@ def _certificate(n: int, ell: WeightTuple, p: int,
     for i in range((order - 1) // 2, 0, -1):
         w = coeffs[2 * i] % p
         if w:
-            return make(i, w)
+            if sign > 0:
+                return Certificate(p, i, w, (4 * n - 5) - 2 * i)
+            return Certificate(p, i, w, (4 * n - 6) + 2 * i,
+                               (4 * n - 5) + 2 * i)
     return None
 
 
@@ -149,8 +163,7 @@ def span_certificate(n: int, ell: WeightTuple, p: int,
     (tangent_pontrjagin(n, ell), built here unless given)."""
     if series is None:
         series = tangent_pontrjagin(n, ell, truncation=n)
-    return _certificate(n, ell, p, series, lambda i, w:
-                        Certificate(p, i, w, (4 * n - 5) - 2 * i))
+    return _certificate(n, ell, p, series, 1)
 
 
 def immersion_certificate(n: int, ell: WeightTuple, p: int,
@@ -160,9 +173,7 @@ def immersion_certificate(n: int, ell: WeightTuple, p: int,
     series (normal_pontrjagin(n, ell), built here unless given)."""
     if series is None:
         series = normal_pontrjagin(n, ell, truncation=n)
-    return _certificate(n, ell, p, series, lambda j, w:
-                        Certificate(p, j, w, (4 * n - 6) + 2 * j,
-                                    (4 * n - 5) + 2 * j))
+    return _certificate(n, ell, p, series, -1)
 
 
 class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
@@ -186,11 +197,8 @@ def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
     # the nilpotency order of a two-frame quotient is n - 1 or n, so
     # truncation n serves every prime
     series = pontrjagin(n, ell, truncation=n) if primes else None
-    certs = []
-    for p in primes:
-        cert = certificate(n, ell, p, series)
-        if cert is not None:
-            certs.append(cert)
+    certs = [cert for p in primes
+             if (cert := certificate(n, ell, p, series)) is not None]
     best = min(certs, key=rank, default=None)
     return Sweep(n, ell, prime_bound, tuple(certs), best)
 

@@ -9,6 +9,7 @@ floating point anywhere.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 
 def gcd_all(values: list[int] | tuple[int, ...]) -> int:
@@ -67,7 +68,7 @@ def primes_upto(bound: int) -> list[int]:
     for q in range(2, int(bound ** 0.5) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytearray((bound - q * q) // q + 1)
-    return [q for q in range(2, bound + 1) if sieve[q]]
+    return list(compress(range(bound + 1), sieve))
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -61,6 +61,47 @@ class TestPontrjaginSeries:
             normal_pontrjagin(1, W(1, 2))
 
 
+def x_space_pontrjagin(n, ell, modulus, truncation, sign):
+    """Oracle: the series built in x at the full truncation, each power
+    and solve running over the zeros at the odd indices."""
+    l1, l2 = ell
+    frames = TruncatedSeries([1, 0, -(l1 * l1 + l2 * l2), 0, (l1 * l2) ** 2],
+                             truncation, modulus)
+    diff = TruncatedSeries([1, 0, -(l2 - l1) ** 2], truncation, modulus)
+    return (diff.inv(frames.int_pow(n)) if sign > 0
+            else frames.int_pow(-n).mul(diff))
+
+
+class TestBuiltInY:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           ell=st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+           .filter(lambda ws: math.gcd(*ws) == 1).map(WeightTuple),
+           n=st.integers(2, 60), modulus=st.sampled_from((0, 3, 5, 7)),
+           kind=st.sampled_from(((1, tangent_pontrjagin),
+                                 (-1, normal_pontrjagin))))
+    def test_matches_the_x_space_build(self, data, ell, n, modulus, kind):
+        T = data.draw(st.integers(1, 2 * n + 1), label="truncation")
+        sign, build = kind
+        assert build(n, ell, modulus, T) == x_space_pontrjagin(
+            n, ell, modulus, T, sign)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 30, 31, 61])
+    @pytest.mark.parametrize("build,steps", [(tangent_pontrjagin, 2),
+                                             (normal_pontrjagin, 1)])
+    def test_power_and_solve_run_at_half_the_truncation(
+            self, monkeypatch, build, steps, T):
+        seen = []
+        for name in ("int_pow", "inv"):
+            def recorded(series, *args,
+                         _method=getattr(TruncatedSeries, name)):
+                seen.append(series.truncation)
+                return _method(series, *args)
+            monkeypatch.setattr(TruncatedSeries, name, recorded)
+        assert build(30, W(1, 2), 0, T).truncation == T
+        assert seen == [-(-T // 2)] * steps
+
+
 class TestSpanCertificates:
     def test_pinned_instance(self):
         cert = span_certificate(7, W(1, 2), 7)

@@ -60,6 +60,10 @@ def _grid() -> list[list[str]]:
     cases += [["pontrjagin", "--n", "1", "--weights", "1,2"],
               ["pontrjagin", "--n", "4", "--weights", "1,2", "--modulus",
                "1"]]
+    # truncations below 1: the refusal names the truncation asked for,
+    # not that of the series in y = x^2 that the build runs at
+    cases += [["pontrjagin", "--n", "5", "--weights", "1,2",
+               f"--truncation={t}"] for t in ("0", "-1", "-3")]
     for n in (2, 3, 4, 6, 9):
         for k, ws in ((1, "1"), (2, "1,1"), (2, "1,2"), (2, "2,-3"),
                       (3, "1,1,2")):
