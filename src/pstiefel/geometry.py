@@ -15,7 +15,10 @@ admissible power of x is an honest nonvanishing integral class:
     out immersions into euclidean space of dimension 4n - 6 + 2j.
 
 Admissible means x^{2i} survives in mod-p cohomology, i.e. 2i is below
-the nilpotency order, n - 1 or n. Reduction mod p is a ring map, so one
+the nilpotency order, n - 1 or n. For even n both orders admit exactly
+i <= n/2 - 1, so a certificate asks for the order only at odd n, where
+it decides whether i = (n - 1)/2 is admissible (order n, which holds
+when p divides h_{n-1}). Reduction mod p is a ring map, so one
 exact series over Z at truncation n serves every prime: a certificate
 reduces its coefficients mod p, and one prime, a prime sweep and a claim
 check build it by the same call, a sweep or check once for all of its
@@ -48,7 +51,7 @@ from collections import namedtuple
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
 from . import costs
 from .costs import MAX_PRIME_BOUND
-from .ring import p_adic_valuation, primes_upto
+from .ring import p_adic_valuation, primes_upto, require_prime
 from .series import TruncatedSeries
 from .weights import WeightTuple, homogeneous_sum, homogeneous_top
 
@@ -129,11 +132,17 @@ def _certificate(n: int, ell: WeightTuple, p: int,
                  series: TruncatedSeries, sign: int) -> Certificate | None:
     """The certificate at the largest admissible index whose coefficient
     in series, an integer Pontrjagin series truncated at the nilpotency
-    order or beyond, is nonzero mod p: a span bound from the tangent
-    series for sign 1, a non-immersion bound from the normal one for -1;
-    None when every admissible coefficient vanishes. A non-prime p is
-    refused by nilpotency_order, and p = 2 right after it."""
-    order = nilpotency_order(StiefelParams(n, 2, ell), p)
+    order or beyond (n - 1 or beyond for even n), is nonzero mod p: a span
+    bound from the tangent series for sign 1, a non-immersion bound from
+    the normal one for -1; None when every admissible coefficient
+    vanishes. A non-prime p is refused by the primality test, and p = 2
+    right after it. Only odd n asks for the order: for even n the orders
+    n - 1 and n admit the same indices, so n - 1 stands in for both."""
+    if n % 2:
+        order = nilpotency_order(StiefelParams(n, 2, ell), p)
+    else:
+        require_prime(p)
+        order = n - 1
     if p == 2:
         raise ValueError(
             "certificates use odd primes only; the Pontrjagin series "

@@ -178,7 +178,7 @@ REFUSED = [
     # at truncation n, whatever p: refused before any work, and ahead of
     # any refusal of p, an order the golden grid pins
     over("span --n 1000000000000 --weights 1,2 --prime 3", 2804820237194,
-         "check the series cap before the nilpotency order"),
+         "check the series cap before the primality test"),
     # past the cap at truncation n but not at n - 1: one prime is refused
     # as the sweep is, whatever its nilpotency order (n - 1 for 3, n for
     # 41, which divides h_{n-1})

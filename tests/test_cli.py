@@ -864,6 +864,7 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "int_pow", no_work)
     monkeypatch.setattr(geometry, "TruncatedSeries", no_work)
     monkeypatch.setattr(geometry, "nilpotency_order", no_work)
+    monkeypatch.setattr(geometry, "require_prime", no_work)
 
     # the kernels behind each engine entry point, which checks its caps
     # before it calls any of them

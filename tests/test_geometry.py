@@ -2,13 +2,14 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pstiefel.geometry as geometry
 import pstiefel.ring as ring
 import pstiefel.weights as weights
-from pstiefel.cohomology import InvariantViolation, StiefelParams
+from pstiefel.cohomology import (InvariantViolation, StiefelParams,
+                                 nilpotency_order)
 from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                Certificate, LensParams, best_immersion_bound,
                                best_span_bound, check_immersion_theorem,
@@ -18,7 +19,7 @@ from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                span_certificate, tangent_pontrjagin)
 from pstiefel.series import TruncatedSeries
 from pstiefel.ring import primes_upto
-from pstiefel.weights import WeightTuple, homogeneous_sums
+from pstiefel.weights import WeightTuple, homogeneous_sum, homogeneous_sums
 
 
 def W(*ws):
@@ -265,6 +266,77 @@ class TestCertificateInput:
         best_span_bound(90, W(1, 2), 360)
         assert calls == primes_upto(360)[1:]
         assert len(calls) == 71
+
+
+def scan_reading_every_order(n, ell, p, series, sign):
+    """Oracle: the certificate scan with the nilpotency order read for
+    every prime, odd or even n, up to its top admissible index."""
+    order = nilpotency_order(StiefelParams(n, 2, ell), p)
+    for i in range((order - 1) // 2, 0, -1):
+        w = series.coeff(2 * i) % p
+        if w:
+            if sign > 0:
+                return Certificate(p, i, w, (4 * n - 5) - 2 * i)
+            return Certificate(p, i, w, (4 * n - 6) + 2 * i,
+                               (4 * n - 5) + 2 * i)
+    return None
+
+
+SWEEPS = {"span": (1, tangent_pontrjagin, best_span_bound),
+          "immersion": (-1, normal_pontrjagin, best_immersion_bound)}
+
+
+class TestOrderOnlyAtOddN:
+    """For even n both nilpotency orders, n - 1 and n, admit indices up to
+    n/2 - 1, so only odd n asks for the order; the certificates are those
+    of a scan that reads it for every prime."""
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 200),
+           ell=st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+           .filter(lambda ws: math.gcd(*ws) == 1).map(WeightTuple))
+    # equal weights, a zero weight, both parities
+    @example(n=2, ell=W(1, 1))
+    @example(n=9, ell=W(-1, -1))
+    @example(n=15, ell=W(1, 1))
+    @example(n=8, ell=W(0, 1))
+    @example(n=7, ell=W(-1, 0))
+    # odd n with a prime dividing h_{n-1}: order n, index (n - 1)/2
+    @example(n=5, ell=W(1, 3))
+    @example(n=9, ell=W(-1, 2))
+    @example(n=21, ell=W(7, -9))
+    # even n with a prime dividing h_{n-1}: order n, index n/2 - 1
+    @example(n=6, ell=W(1, 2))
+    def test_matches_a_scan_that_reads_every_order(self, kind, n, ell):
+        sign, build, sweep = SWEEPS[kind]
+        series = build(n, ell, truncation=n)
+        want = [cert for p in primes_upto(4 * n)[1:]
+                if (cert := scan_reading_every_order(n, ell, p, series,
+                                                     sign)) is not None]
+        assert sweep(n, ell, 4 * n).certificates == tuple(want)
+
+    @pytest.mark.parametrize("n,ell,p", [(5, W(1, 3), 11), (9, W(-1, 2), 19),
+                                         (21, W(7, -9), 43)])
+    @pytest.mark.parametrize("certificate",
+                             [span_certificate, immersion_certificate])
+    def test_odd_n_reads_index_half_of_n_minus_one(self, certificate,
+                                                   n, ell, p):
+        assert homogeneous_sum(ell, n - 1) % p == 0
+        assert nilpotency_order(StiefelParams(n, 2, ell), p) == n
+        assert certificate(n, ell, p).index == (n - 1) // 2
+
+    def test_only_odd_n_asks_for_the_order(self, monkeypatch):
+        calls = []
+        original = geometry.nilpotency_order
+        monkeypatch.setattr(geometry, "nilpotency_order",
+                            lambda params, p: calls.append(p)
+                            or original(params, p))
+        best_span_bound(90, W(1, 2), 360)
+        best_immersion_bound(90, W(1, 2), 360)
+        assert calls == []
+        best_span_bound(91, W(1, 2), 360)
+        assert calls == primes_upto(360)[1:]
 
 
 class TestSpanClaimChecker:

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -146,6 +147,12 @@ def test_golden_grid():
     assert sorted(got) == sorted(golden)
     changed = [key for key in got if got[key] != golden[key]]
     assert not changed, f"{len(changed)} cases changed, e.g. {changed[:5]}"
+
+
+def test_readme_counts_the_grid():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.search(r"stdout and stderr of (\d+)\s+CLI invocations", readme)
+    assert int(stated.group(1)) == len(json.loads(GOLDEN.read_text()))
 
 
 if __name__ == "__main__":

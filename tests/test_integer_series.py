@@ -156,6 +156,18 @@ class TestSeriesArgument:
             certificate(7, ell, 7, pontrjagin(7, ell, truncation=order - 1))
         assert certificate(7, ell, 7, pontrjagin(7, ell, truncation=order))
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_even_n_reads_below_x_to_the_n_minus_1(self, kind):
+        # 5 divides h_7 = 2^8 - 1, so the order is 8, yet the scan reads
+        # no power above x^6: truncation 7 is enough, and 6 is refused
+        pontrjagin, certificate, _, _ = KINDS[kind]
+        ell = WeightTuple((1, 2))
+        assert nilpotency_order(StiefelParams(8, 2, ell), 5) == 8
+        with pytest.raises(ValueError, match="truncated at 7 or beyond"):
+            certificate(8, ell, 5, pontrjagin(8, ell, truncation=6))
+        assert (certificate(8, ell, 5, pontrjagin(8, ell, truncation=7))
+                == certificate(8, ell, 5))
+
 
 class TestOneBuildPerCall:
     """Each sweep or claim check builds the integer series itself, once."""
