@@ -140,7 +140,6 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
 def presentation_odd(params: StiefelParams, p: int) -> CohomologyPresentation:
     """Mod-p presentation for odd p: truncated polynomial tensor exterior."""
     require_presentation(params.n, params.k)
-    require_prime(p)
     if p == 2:
         raise ValueError(
             "p = 2 is handled by presentation_mod2 (two-frame quotients only)")

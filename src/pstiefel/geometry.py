@@ -234,7 +234,7 @@ class ClaimInstance(namedtuple(
 
     hypotheses is a tuple of (name, holds) pairs and notes a tuple of
     strings; index, admissible, coefficient and claimed are None when a
-    hypothesis fails."""
+    hypothesis fails, and admissible is True otherwise."""
 
     __slots__ = ()
 
@@ -280,19 +280,18 @@ def _odd_prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _claim(p, part, hypotheses, series, order, index, claimed, notes=()):
+def _claim(p, part, hypotheses, series, index, claimed, notes=()):
     """The verdict rule of every claim instance: NOT_APPLICABLE, with
     nothing computed, when index is None (a hypothesis fails); else AGREE
-    when the integer series' coefficient of x^{2*index} is nonzero mod p
-    and admissible (2*index below the nilpotency order), DISCREPANT when
-    not."""
+    when the integer series' coefficient of x^{2*index} is nonzero mod p,
+    DISCREPANT when not. The checkers' hypotheses make every index
+    admissible."""
     if index is None:
         return ClaimInstance(p, part, hypotheses, None, None, None, None,
                              NOT_APPLICABLE)
     coefficient = series.coeff(2 * index) % p
-    admissible = 2 * index <= order - 1
-    verdict = AGREE if coefficient and admissible else DISCREPANT
-    return ClaimInstance(p, part, hypotheses, index, admissible, coefficient,
+    verdict = AGREE if coefficient else DISCREPANT
+    return ClaimInstance(p, part, hypotheses, index, True, coefficient,
                          claimed, verdict, notes)
 
 
@@ -304,12 +303,13 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     coefficient at index floor((n-2)/2); part 2 (n odd, p dividing
     l1^n - l2^n) claims span <= 3n - 4 through index (n-1)/2. A verdict
     of DISCREPANT means the hypotheses hold but the direct coefficient
-    vanishes (or sits above the nilpotency order), so the closed-form
-    argument's witness is absent; it is reported as data, not an error.
-    Every qualifying prime reads one integer tangent series at
-    truncation n, which holds both indices. Every instance is admissible:
-    2*i1 <= n - 2 sits below the nilpotency order (n - 1 or n), and part
-    2's hypotheses make p divide h_{n-1}, so the order is n > 2*i2.
+    vanishes, so the closed-form argument's witness is absent; it is
+    reported as data, not an error. Every qualifying prime reads one
+    integer tangent series at truncation n, which holds both indices.
+    No nilpotency order is asked for: the order is n - 1 or n, so part
+    1's 2*i1 <= n - 2 is below it, and part 2's hypotheses make it n
+    (p divides l1^n - l2^n = (l1 - l2) h_{n-1} but not l1 - l2, so it
+    divides h_{n-1}), above 2*i2 = n - 1.
     """
     _require_claim_input(ell, n)
     l1, l2 = ell
@@ -325,14 +325,12 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     hyps1 = (("p divides n", True), ("p does not divide l2 - l1", True))
     instances = []
     for p in primes:
-        order = nilpotency_order(StiefelParams(n, 2, ell), p)
         pow_gap = pow(l1, n, p) == pow(l2, n, p)
         hyps2 = hyps1 + (("n odd", n % 2 == 1),
                          ("p divides l1^n - l2^n", pow_gap))
         instances += [
-            _claim(p, 1, hyps1, series, order, i1, (4 * n - 5) - 2 * i1,
-                   notes1),
-            _claim(p, 2, hyps2, series, order,
+            _claim(p, 1, hyps1, series, i1, (4 * n - 5) - 2 * i1, notes1),
+            _claim(p, 2, hyps2, series,
                    i2 if n % 2 == 1 and pow_gap else None, 3 * n - 4),
         ]
     return ClaimCheck("span", n, ell, tuple(instances))
@@ -346,8 +344,8 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     4n - 5 + 2*floor((n-3)/2) through the normal coefficient at index
     floor((n-3)/2); the direct vanishing rule certifies one dimension
     less, recorded alongside. Every qualifying prime reads one integer
-    normal series at truncation n. Every instance is admissible:
-    2*j <= n - 3 sits below the nilpotency order, n - 1 or n.
+    normal series at truncation n. No nilpotency order is asked for:
+    2*j <= n - 3 is below either order, n - 1 or n.
     """
     _require_claim_input(ell, n)
     l1, l2 = ell
@@ -360,9 +358,7 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     series = normal_pontrjagin(n, ell, truncation=n) if primes else None
     hyps = (("p divides n - 1", True), ("p divides l2 - l1", True))
     instances = [
-        _claim(p, 1, hyps, series,
-               nilpotency_order(StiefelParams(n, 2, ell), p), j,
-               (4 * n - 5) + 2 * j, notes)
+        _claim(p, 1, hyps, series, j, (4 * n - 5) + 2 * j, notes)
         for p in primes]
     return ClaimCheck("immersion", n, ell, tuple(instances))
 

@@ -284,7 +284,7 @@ ANSWERED = [
     # does not bound, keeps it past the 1 s budget
     answers("ci", "immersion --n 5220 --weights 1,1 --json", 20, 5.0,
             '"claimed_dim": "26093"',
-            "`immersion --n 5220 --weights 1,1 --json` at 1.8-2.3 s"),
+            "`immersion --n 5220 --weights 1,1 --json` at 1.7-1.9 s"),
 ]
 
 ROWS = REFUSED + LIBRARY + ANSWERED

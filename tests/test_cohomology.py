@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import pstiefel.cohomology as cohomology
 import pstiefel.costs as costs
+import pstiefel.ring as ring
 from pstiefel.cohomology import (CohomologyPresentation, InvariantViolation,
                                  StiefelParams, check_presentation_invariants,
                                  nilpotency_order, poincare_polynomial,
@@ -175,6 +176,16 @@ class TestPresentationOdd:
     def test_rejects_two(self):
         with pytest.raises(ValueError, match="presentation_mod2"):
             presentation_odd(params(4, 2, (1, 1)), 2)
+
+    def test_one_primality_test_and_a_non_prime_refused(self, monkeypatch):
+        calls = []
+        original = ring.is_prime
+        monkeypatch.setattr(ring, "is_prime",
+                            lambda p: calls.append(p) or original(p))
+        presentation_odd(params(4, 2, (1, 1)), 3)
+        assert calls == [3]
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            presentation_odd(params(4, 2, (1, 1)), 9)
 
 
 class TestPresentationMod2:

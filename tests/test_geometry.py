@@ -17,6 +17,7 @@ from pstiefel.geometry import (AGREE, DISCREPANT, NOT_APPLICABLE,
                                immersion_certificate, lens_rank_bound,
                                lens_sq2_criterion, normal_pontrjagin,
                                span_certificate, tangent_pontrjagin)
+from pstiefel.cli import main
 from pstiefel.series import TruncatedSeries
 from pstiefel.ring import primes_upto
 from pstiefel.weights import WeightTuple, homogeneous_sum, homogeneous_sums
@@ -405,20 +406,65 @@ class TestClaimInput:
 
 
 class TestClaimVerdictRule:
-    # no instance of either claim checker is ever inadmissible, so the
-    # rule's admissibility half is tested on its own
-    SERIES = TruncatedSeries([1, 0, 2, 0, 4], 5)
+    SERIES = TruncatedSeries([1, 0, 2, 0, 3], 5)
 
-    def test_inadmissible_index_is_discrepant(self):
-        inst = geometry._claim(3, 1, (), self.SERIES, 2, 1, 9)
-        assert (inst.index, inst.coefficient) == (1, 2)
-        assert inst.admissible is False
-        assert inst.verdict == DISCREPANT
+    def test_agree_exactly_when_the_coefficient_is_nonzero_mod_p(self):
+        agree = geometry._claim(3, 1, (), self.SERIES, 1, 9)
+        discrepant = geometry._claim(3, 1, (), self.SERIES, 2, 9)
+        absent = geometry._claim(3, 1, (), self.SERIES, None, 9)
+        assert agree[3:8] == (1, True, 2, 9, AGREE)
+        assert discrepant[3:8] == (2, True, 0, 9, DISCREPANT)
+        assert absent[3:8] == (None, None, None, None, NOT_APPLICABLE)
 
-    def test_admissible_index_agrees(self):
-        inst = geometry._claim(3, 1, (), self.SERIES, 3, 1, 9)
-        assert inst.admissible is True
-        assert inst.verdict == AGREE
+
+CLAIMS = {"span": (check_span_theorem, tangent_pontrjagin),
+          "immersion": (check_immersion_theorem, normal_pontrjagin)}
+
+
+class TestClaimIndicesAreAdmissible:
+    """The claim checkers ask for no nilpotency order, since their
+    hypotheses make every claimed index admissible; the order, read
+    here, confirms it for every applicable instance."""
+
+    @pytest.mark.parametrize("kind", CLAIMS)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 300),
+           ell=st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+           .filter(lambda ws: math.gcd(*ws) == 1).map(WeightTuple))
+    # span part 2 at p = 7, order n, index (n - 1)/2, in both orders
+    @example(n=21, ell=W(1, 2))
+    @example(n=21, ell=W(2, 1))
+    # index 0: span at n = 3, immersion at n = 4
+    @example(n=3, ell=W(1, 2))
+    @example(n=4, ell=W(1, 4))
+    def test_every_applicable_index_is_below_the_order(self, kind, n, ell):
+        check, build = CLAIMS[kind]
+        series = build(n, ell, truncation=n)
+        for inst in check(n, ell).instances:
+            if inst.verdict == NOT_APPLICABLE:
+                continue
+            order = nilpotency_order(StiefelParams(n, 2, ell), inst.prime)
+            assert 2 * inst.index <= order - 1
+            assert inst.admissible is True
+            assert inst.coefficient == (series.coeff(2 * inst.index)
+                                        % inst.prime)
+            assert (inst.verdict == AGREE) == (inst.coefficient != 0)
+
+    def test_claim_checks_ask_for_no_order_or_primality_test(
+            self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError(f"claim check called with {args}")
+
+        monkeypatch.setattr(geometry, "nilpotency_order", refuse)
+        monkeypatch.setattr(ring, "is_prime", refuse)
+        span = check_span_theorem(21, W(2, 1))
+        assert [(i.prime, i.part) for i in span.instances] == [
+            (3, 1), (3, 2), (7, 1), (7, 2)]
+        immersion = check_immersion_theorem(31, W(1, 31))
+        assert [i.prime for i in immersion.instances] == [3, 5]
+        assert main(["check-claims", "--n", "21", "--weights", "1,2",
+                     "--json"]) == 0
+        assert '"admissible": true' in capsys.readouterr().out
 
 
 class TestImmersionClaimChecker:
