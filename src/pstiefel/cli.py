@@ -107,11 +107,13 @@ def _parse_weights(text: str) -> WeightTuple:
 
 
 def _bind_negative_weights(argv: list[str]) -> list[str]:
-    """Join --weights to a value such as -3,4, which argparse would
-    otherwise take for an option. Joining any other value is harmless."""
+    """Join --weights, or an abbreviation of it from --w on, to a value
+    such as -3,4, which argparse would otherwise take for an option. No
+    other flag starts with --w; joining any other value is harmless."""
     out = []
     for token in argv:
-        if out and out[-1] == "--weights" and token[1:2].isdigit():
+        if (out and out[-1].startswith("--w")
+                and "--weights".startswith(out[-1]) and token[1:2].isdigit()):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -193,12 +195,16 @@ def _emit(obj, indent: str, put) -> None:
         raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
-def _series_payload(series) -> dict:
-    return {
-        "coefficients": list(series.coeffs),
-        "truncation": series.truncation,
-        "modulus": series.modulus,
-    }
+def _series_report(args, params: dict, **series):
+    """Lines and report fields of named series: a line per series, its
+    repr after its name, padded to the longest name + 2 (none under
+    --json), and a {coefficients, truncation, modulus} payload each."""
+    width = max(map(len, series)) + 2
+    lines = [] if args.json else [f"{name + ':':<{width}}{s!r}"
+                                  for name, s in series.items()]
+    return lines, {"params": params, "result": {
+        name: {"coefficients": list(s.coeffs), "truncation": s.truncation,
+               "modulus": s.modulus} for name, s in series.items()}}
 
 
 def _rank_report(rep: RankBoundReport, params: dict):
@@ -284,28 +290,19 @@ def _cmd_chern(args):
         T = args.n + 1
     else:
         raise ValueError("chern needs --truncation or --n")
-    total = total_chern(ell, T)
-    comp = complement_chern(ell, T)
-    lines = [] if args.json else [f"total:      {total!r}",
-                                  f"complement: {comp!r}"]
-    return lines, {
-        "params": {"weights": list(ell), "truncation": T},
-        "result": {"total": _series_payload(total),
-                   "complement": _series_payload(comp)}}
+    return _series_report(args, {"weights": list(ell), "truncation": T},
+                          total=total_chern(ell, T),
+                          complement=complement_chern(ell, T))
 
 
 def _cmd_pontrjagin(args):
     ell = _parse_weights(args.weights)
     T = args.truncation if args.truncation is not None else args.n
-    tangent = tangent_pontrjagin(args.n, ell, args.modulus, T)
-    normal = normal_pontrjagin(args.n, ell, args.modulus, T)
-    lines = [] if args.json else [f"tangent: {tangent!r}",
-                                  f"normal:  {normal!r}"]
-    return lines, {
-        "params": {"n": args.n, "weights": list(ell),
-                   "modulus": args.modulus, "truncation": T},
-        "result": {"tangent": _series_payload(tangent),
-                   "normal": _series_payload(normal)}}
+    return _series_report(
+        args, {"n": args.n, "weights": list(ell), "modulus": args.modulus,
+               "truncation": T},
+        tangent=tangent_pontrjagin(args.n, ell, args.modulus, T),
+        normal=normal_pontrjagin(args.n, ell, args.modulus, T))
 
 
 def _cmd_certificates(args):
@@ -319,12 +316,6 @@ def _cmd_certificates(args):
         return (f"span <= {c.bound}" if span
                 else f"no immersion into R^{c.bound}")
 
-    def bounds(c):
-        if span:
-            return {"span_bound": c and c.bound}
-        return {"certified_non_immersion_dim": c and c.bound,
-                "claimed_dim": c and c.claimed}
-
     if args.prime is not None and args.prime_bound is not None:
         raise ValueError("give --prime or --prime-bound, not both")
     params = {"n": args.n, "weights": list(ell)}
@@ -336,7 +327,6 @@ def _cmd_certificates(args):
         cert = certificate(args.n, ell, args.prime)
         params["prime"] = args.prime
         certs = [cert] if cert else []
-        result = bounds(cert)
         if cert:
             sep = (", " if span else " (certified); claimed-form dimension "
                    f"{cert.claimed}; ")
@@ -352,16 +342,20 @@ def _cmd_certificates(args):
             args.n, ell, bound)
         params["prime_bound"] = bound
         certs = list(sweep.certificates)
-        best = sweep.best
-        result = dict(bounds(best), best_prime=best and best.prime)
-        if not best:
+        cert = sweep.best
+        if not cert:
             diagnostics.append("no certificate found in the prime sweep")
         lines = []
         if not args.json:
             lines = [f"p={c.prime}: {claim(c)} ({letter}={c.index}, "
                      f"w={c.witness})" for c in certs]
-            lines.append(f"best: {claim(best)} (p={best.prime})" if best
+            lines.append(f"best: {claim(cert)} (p={cert.prime})" if cert
                          else f"no {kind} certificate found")
+    result = ({"span_bound": cert and cert.bound} if span
+              else {"certified_non_immersion_dim": cert and cert.bound,
+                    "claimed_dim": cert and cert.claimed})
+    if args.prime is None:
+        result["best_prime"] = cert and cert.prime
     return lines, {"params": params, "result": result,
                    "certificates": certs, "diagnostics": diagnostics}
 

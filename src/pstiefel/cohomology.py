@@ -109,25 +109,23 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
     closed manifold, so some transgression in the window must survive;
     running past r = n means an internal error, not bad input.
 
-    Two weights read each h_r mod p from homogeneous_sum's closed form,
-    by powers mod p |l1 - l2|, so n of 400 digits costs a few modular
-    powers rather than two integers of n bits. Any other count reads the
-    first index from homogeneous_sum, one table mod p up to n - k + 1,
-    which settles the usual one-step scan; a longer scan reads the rest
-    of the window from one table mod p up to n, homogeneous_sums(ell, n,
-    p), not one table per step.
+    The window's first index is read by homogeneous_sum, which settles
+    the usual one-step scan: for two weights its closed form, by powers
+    mod p |l1 - l2|, so n of 400 digits costs a few modular powers rather
+    than two integers of n bits; for any other count one table mod p up
+    to n - k + 1. The rest of the window is h_n alone for two weights,
+    read by the closed form again, and otherwise one table mod p up to
+    n, homogeneous_sums(ell, n, p), not one table per step.
     """
     require_prime(p)
     n, ell = params.n, params.ell
+    first = n - params.k + 1
+    if homogeneous_sum(ell, first, p):
+        return first
     if len(ell) == 2:
-        if homogeneous_sum(ell, n - 1, p):
-            return n - 1
         if homogeneous_sum(ell, n, p):
             return n
     else:
-        first = n - params.k + 1
-        if homogeneous_sum(ell, first, p):
-            return first
         hs = homogeneous_sums(ell, n, p)
         for r in range(first + 1, n + 1):
             if hs[r]:

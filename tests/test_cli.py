@@ -464,14 +464,21 @@ class TestInputErrors:
         assert rc == 0
         assert "certificate" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv,weights", [
-        (["span", "--n", "5"], "-3,4"),
-        (["lens", "--d", "3", "--m", "7"], "-1,2"),
+    # an abbreviation of --weights goes to argparse, bound to its value
+    # like the full name
+    @pytest.mark.parametrize("argv,flag,weights", [
+        (["span", "--n", "5"], "--weights", "-3,4"),
+        (["lens", "--d", "3", "--m", "7"], "--weights", "-1,2"),
+        (["span", "--n", "5", "--prime", "3"], "--wei", "-3,4"),
+        (["span", "--n", "5", "--prime", "3"], "--weight", "-3,4"),
+        (["immersion", "--n", "9"], "--weight", "-3,4"),
+        (["lens", "--d", "3", "--m", "7"], "--w", "-1,2"),
     ])
-    def test_negative_weights_as_separate_token(self, capsys, argv, weights):
+    def test_negative_weights_as_separate_token(self, capsys, argv, flag,
+                                                weights):
         assert main(argv + [f"--weights={weights}", "--json"]) == 0
         joined = capsys.readouterr()
-        assert main(argv + ["--weights", weights, "--json"]) == 0
+        assert main(argv + [flag, weights, "--json"]) == 0
         assert capsys.readouterr() == joined
 
 

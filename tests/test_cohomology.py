@@ -87,6 +87,8 @@ class TestNilpotencyOrder:
     def test_pinned_values(self):
         assert nilpotency_order(params(4, 2, (1, 1)), 3) == 3
         assert nilpotency_order(params(5, 2, (1, 1)), 5) == 5
+        # h_4(1, 3) = (3^5 - 1) / 2 = 121 = 11^2 vanishes, h_5 = 364 not
+        assert nilpotency_order(params(5, 2, (1, 3)), 11) == 5
 
     def test_unit_vector_weights(self):
         # h_r = 1 for every r, so the first window index wins
@@ -94,16 +96,6 @@ class TestNilpotencyOrder:
             ell = (1,) + (0,) * (k - 1)
             for p in (3, 7):
                 assert nilpotency_order(params(n, k, ell), p) == n - k + 1
-
-    def test_matches_lucas_rule_for_unit_weights(self):
-        for n in range(2, 16):
-            for k in range(2, min(5, n) + 1):
-                pr = params(n, k, (1,) * k)
-                for p in (3, 5, 7):
-                    direct = nilpotency_order(pr, p)
-                    via_lucas = next(r for r in range(n - k + 1, n + 1)
-                                     if lucas_binom(n, r, p) != 0)
-                    assert direct == via_lucas
 
     @pytest.mark.parametrize("n", [200, 213, 226, 250, 263, 277, 289, 300])
     def test_matches_lucas_digits_for_all_ones_weights(self, n):
@@ -116,9 +108,15 @@ class TestNilpotencyOrder:
                             if lucas_binom(r + k - 1, r, p) != 0)
                 assert nilpotency_order(pr, p) == want
 
-    def test_long_scan_builds_one_table(self, monkeypatch):
-        # the window's first index from homogeneous_sum, then one table
-        # mod p up to n for the rest; a table for each step took 125
+    # the window's first index from homogeneous_sum, then the rest: h_n
+    # from the closed form for two weights, so no table at any n, and
+    # one table mod p up to n for more; a table for each step took 125
+    @pytest.mark.parametrize("n,ws,p,order,want", [
+        (250, (1,) * 125, 5, 250, [("sum", 126, 5), ("sums", 250, 5)]),
+        (5, (1, 3), 11, 5, [("sum", 4, 11), ("sum", 5, 11)]),
+    ])
+    def test_long_scan_builds_one_table(self, monkeypatch, n, ws, p, order,
+                                        want):
         calls = []
 
         def counted(name, fn):
@@ -131,11 +129,11 @@ class TestNilpotencyOrder:
                             counted("sum", homogeneous_sum))
         monkeypatch.setattr(cohomology, "homogeneous_sums",
                             counted("sums", homogeneous_sums))
-        assert nilpotency_order(params(250, 125, (1,) * 125), 5) == 250
-        assert calls == [("sum", 126, 5), ("sums", 250, 5)]
+        assert nilpotency_order(params(n, len(ws), ws), p) == order
+        assert calls == want
 
     @settings(max_examples=200, deadline=None)
-    @given(ws=st.lists(st.integers(-9, 9), min_size=3, max_size=6),
+    @given(ws=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
            extra=st.integers(0, 30), p=st.sampled_from((2, 3, 5, 7, 11)))
     def test_matches_the_table_for_any_weights(self, ws, extra, p):
         if math.gcd(*ws) != 1:
@@ -206,12 +204,6 @@ class TestPresentationMod2:
             presentation_mod2(4, WeightTuple((1, 1, 1)))
         with pytest.raises(ValueError, match="n >= 2"):
             presentation_mod2(1, WeightTuple((1, 0)))
-
-    def test_exponent_agrees_with_nilpotency_order(self):
-        for n, ws in ((4, (1, 1)), (5, (1, 2)), (7, (1, -1)), (6, (2, 3))):
-            pres = presentation_mod2(n, WeightTuple(ws))
-            assert pres.nilpotency_order == \
-                nilpotency_order(params(n, 2, ws), 2)
 
 
 class TestPoincarePolynomial:

@@ -116,6 +116,10 @@ def _grid() -> list[list[str]]:
         "lens --d 100000 --m 1 --weights 1,1000000000000000000",
         "span --n 100000 --weights 1,8 --prime 2",
         "check-claims --n 1000001 --weights 1,2")]
+    # abbreviations of --weights, bound to a negative first weight
+    cases += [argv.split() for argv in (
+        "span --n 9 --wei -3,4", "immersion --n 9 --weight -3,4",
+        "lens --d 3 --m 7 --we -1,2")]
     cases += [["bogus"], ["span", "--n", "7"],
               ["span", "--n", "7", "--weights", "1,two"],
               ["check-claims", "--n", "abc", "--weights", "1,2"],
