@@ -5,14 +5,15 @@ single JSON object with the fixed shape
 
     {command, params, result, certificates, diagnostics, claim_checks}
 
-where every number is a decimal string so arbitrary precision survives
-serialization. Output is deterministic: identical invocations produce
-identical bytes. One recursive pass renders the report, byte for byte
-what json.dumps(..., indent=2, sort_keys=True) gives for the same report
-with ints as decimal strings and Certificates as objects; it appends
-every piece to one list, joined once, writes a certificate from the
-template of its shape and joins int lists in chunks, so a report of long
-int lists peaks at about twice its length. The size caps live in
+where params echoes the request, as main parses it, and every number is
+a decimal string so arbitrary precision survives serialization. Output
+is deterministic: identical invocations produce identical bytes. One
+recursive pass renders the report, byte for byte what
+json.dumps(..., indent=2, sort_keys=True) gives for the same report with
+ints as decimal strings and Certificates as objects; it appends every
+piece to one list, joined once, writes a certificate from the template
+of its shape and joins int lists in chunks, so a report of long int
+lists peaks at about twice its length. The size caps live in
 pstiefel.costs and are checked by the engine functions before any work;
 a request past one is invalid input like any other ValueError.
 Exit codes: 0 for any successfully computed answer (including DISCREPANT
@@ -195,19 +196,19 @@ def _emit(obj, indent: str, put) -> None:
         raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
-def _series_report(args, params: dict, **series):
+def _series_report(args, **series):
     """Lines and report fields of named series: a line per series, its
     repr after its name, padded to the longest name + 2 (none under
     --json), and a {coefficients, truncation, modulus} payload each."""
     width = max(map(len, series)) + 2
     lines = [] if args.json else [f"{name + ':':<{width}}{s!r}"
                                   for name, s in series.items()]
-    return lines, {"params": params, "result": {
+    return lines, {"result": {
         name: {"coefficients": list(s.coeffs), "truncation": s.truncation,
                "modulus": s.modulus} for name, s in series.items()}}
 
 
-def _rank_report(rep: RankBoundReport, params: dict):
+def _rank_report(rep: RankBoundReport):
     """Lines and report fields of a complement rank bound: the bound, the
     secondary criterion when the report carries one, then the notes."""
     reason = rep.reason_kind
@@ -236,15 +237,16 @@ def _rank_report(rep: RankBoundReport, params: dict):
             f"secondary criterion "
             f"{'satisfied' if crit.satisfied else 'unsatisfied'}: "
             + ", ".join(f"{name}={ok}" for name, ok in crit.hypotheses))
-    return lines + list(rep.notes), {"params": params, "result": result,
+    return lines + list(rep.notes), {"result": result,
                                      "diagnostics": list(rep.notes)}
 
 
-# Each handler returns (text lines, report fields); main prints one or
-# the other. Handlers whose lines are long build none under --json.
+# Each handler returns (text lines, report fields) for the args main parsed,
+# weights too, and writes back any default it resolves, since main echoes
+# args as params. Handlers whose lines are long build none under --json.
 
 def _cmd_cohomology(args):
-    ell = _parse_weights(args.weights)
+    ell = args.weights
     params = StiefelParams(args.n, args.k, ell)
     if args.prime == 2:
         pres = presentation_mod2(args.n, ell)
@@ -274,40 +276,35 @@ def _cmd_cohomology(args):
         f"top degree {check.top_degree}, total rank {check.total_rank}, "
         f"invariants {'ok' if check.passed else 'FAILED'}",
     ]
-    return lines, {"params": {"n": args.n, "k": args.k,
-                              "weights": list(ell),
-                              "prime": args.prime},
-                   "result": result}
+    return lines, {"result": result}
 
 
 def _cmd_chern(args):
-    ell = _parse_weights(args.weights)
     if args.truncation is not None and args.n is not None:
         raise ValueError("give --truncation or --n, not both")
-    if args.truncation is not None:
-        T = args.truncation
-    elif args.n is not None:
-        T = args.n + 1
-    else:
+    if args.n is not None:
+        if args.n < 0:
+            raise ValueError(f"need n >= 0, got {args.n}")
+        args.truncation, args.n = args.n + 1, None
+    elif args.truncation is None:
         raise ValueError("chern needs --truncation or --n")
-    return _series_report(args, {"weights": list(ell), "truncation": T},
-                          total=total_chern(ell, T),
+    ell, T = args.weights, args.truncation
+    return _series_report(args, total=total_chern(ell, T),
                           complement=complement_chern(ell, T))
 
 
 def _cmd_pontrjagin(args):
-    ell = _parse_weights(args.weights)
-    T = args.truncation if args.truncation is not None else args.n
-    return _series_report(
-        args, {"n": args.n, "weights": list(ell), "modulus": args.modulus,
-               "truncation": T},
-        tangent=tangent_pontrjagin(args.n, ell, args.modulus, T),
-        normal=normal_pontrjagin(args.n, ell, args.modulus, T))
+    if args.truncation is None:
+        args.truncation = args.n
+    n, ell, modulus, T = args.n, args.weights, args.modulus, args.truncation
+    return _series_report(args,
+                          tangent=tangent_pontrjagin(n, ell, modulus, T),
+                          normal=normal_pontrjagin(n, ell, modulus, T))
 
 
 def _cmd_certificates(args):
     """span and immersion: one prime, or a sweep of odd primes."""
-    ell = _parse_weights(args.weights)
+    ell = args.weights
     kind = args.command
     span = kind == "span"
     letter = "i" if span else "j"
@@ -318,14 +315,12 @@ def _cmd_certificates(args):
 
     if args.prime is not None and args.prime_bound is not None:
         raise ValueError("give --prime or --prime-bound, not both")
-    params = {"n": args.n, "weights": list(ell)}
     diagnostics = []
     # Look the engine functions up at call time: a table built at import
     # would hide them from anything that rebinds module names.
     if args.prime is not None:
         certificate = span_certificate if span else immersion_certificate
         cert = certificate(args.n, ell, args.prime)
-        params["prime"] = args.prime
         certs = [cert] if cert else []
         if cert:
             sep = (", " if span else " (certified); claimed-form dimension "
@@ -337,10 +332,10 @@ def _cmd_certificates(args):
                 f"no admissible nonzero coefficient mod {args.prime}")
             lines = [f"no {kind} certificate mod {args.prime}"]
     else:
-        bound = args.prime_bound if args.prime_bound is not None else 4 * args.n
+        if args.prime_bound is None:
+            args.prime_bound = 4 * args.n
         sweep = (best_span_bound if span else best_immersion_bound)(
-            args.n, ell, bound)
-        params["prime_bound"] = bound
+            args.n, ell, args.prime_bound)
         certs = list(sweep.certificates)
         cert = sweep.best
         if not cert:
@@ -356,30 +351,25 @@ def _cmd_certificates(args):
                     "claimed_dim": cert and cert.claimed})
     if args.prime is None:
         result["best_prime"] = cert and cert.prime
-    return lines, {"params": params, "result": result,
-                   "certificates": certs, "diagnostics": diagnostics}
+    return lines, {"result": result, "certificates": certs,
+                   "diagnostics": diagnostics}
 
 
 def _cmd_complement(args):
-    ell = _parse_weights(args.weights)
-    return _rank_report(cp_complement_min_rank(args.n, ell),
-                        {"n": args.n, "weights": list(ell)})
+    return _rank_report(cp_complement_min_rank(args.n, args.weights))
 
 
 def _cmd_lens(args):
-    ell = _parse_weights(args.weights)
+    ell = args.weights
     if len(ell) != 2:
         raise ValueError(
             f"lens spaces take exactly two weights, got {list(ell)}")
-    lens = LensParams(args.d, args.m, *ell)
-    params = {"d": args.d, "m": args.m, "weights": list(ell)}
-    return _rank_report(lens_rank_bound(lens), params)
+    return _rank_report(lens_rank_bound(LensParams(args.d, args.m, *ell)))
 
 
 def _cmd_check_claims(args):
-    ell = _parse_weights(args.weights)
-    checks = (check_span_theorem(args.n, ell),
-              check_immersion_theorem(args.n, ell))
+    checks = (check_span_theorem(args.n, args.weights),
+              check_immersion_theorem(args.n, args.weights))
     result, diagnostics, claim_payload, lines = {}, [], [], []
     for check in checks:
         result[f"{check.kind}_verdicts"] = list(check.verdicts)
@@ -400,10 +390,8 @@ def _cmd_check_claims(args):
                          f"coefficient {inst.coefficient}, "
                          f"claimed {inst.claimed})")
             lines.append(desc)
-    return lines + diagnostics, {
-        "params": {"n": args.n, "weights": list(ell)},
-        "result": result, "diagnostics": diagnostics,
-        "claim_checks": claim_payload}
+    return lines + diagnostics, {"result": result, "diagnostics": diagnostics,
+                                 "claim_checks": claim_payload}
 
 
 def _cmd_verify(args):
@@ -412,8 +400,7 @@ def _cmd_verify(args):
     for r in results:
         status = "ok" if r.passed else f"FAIL ({r.failures[0]})"
         lines.append(f"{r.name}: {r.checked} checks, {status}")
-    return lines, {"params": {"quick": args.quick},
-                   "result": {"suites": [r._asdict() for r in results],
+    return lines, {"result": {"suites": [r._asdict() for r in results],
                               "passed": all(r.passed for r in results)}}
 
 
@@ -553,6 +540,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_plain(argv) or build_parser().parse_args(argv)
     with _any_int_digits():
         try:
+            if "weights" in vars(args):
+                args.weights = _parse_weights(args.weights)
             lines, fields = args.func(args)
         except ValueError as exc:
             print(f"pstiefel: error: {exc}", file=sys.stderr)
@@ -568,9 +557,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         try:
             if args.json:
-                print(_render({"command": args.command, "certificates": [],
-                               "diagnostics": [], "claim_checks": [],
-                               **fields}))
+                # the request, every flag given or defaulted but --json
+                params = {key: value for key, value in vars(args).items()
+                          if value is not None
+                          and key not in ("command", "func", "json")}
+                print(_render({"command": args.command, "params": params,
+                               "certificates": [], "diagnostics": [],
+                               "claim_checks": [], **fields}))
             else:
                 for line in lines:
                     print(line)

@@ -789,12 +789,22 @@ class TestRender:
         out, peak = render_peak(report)
         assert peak <= 2.2 * len(out)
 
-    def test_sweep_report_peaks_under_three_times_its_length(self):
-        # the default sweep, 195 certificates of about 130 bytes each
-        args = cli._parse_plain(["span", "--n", "300", "--weights", "1,2",
-                                 "--json"])
-        report = {"command": "span", "claim_checks": [],
-                  **args.func(args)[1]}
+    def test_sweep_report_peaks_under_three_times_its_length(
+            self, monkeypatch, capsys):
+        # the default sweep, 195 certificates of about 130 bytes each, as
+        # main hands it to the renderer
+        reports, render = [], cli._render
+
+        def capture(report):
+            reports.append(report)
+            return render(report)
+
+        monkeypatch.setattr(cli, "_render", capture)
+        assert cli.main(["span", "--n", "300", "--weights", "1,2",
+                         "--json"]) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+        [report] = reports
         out, peak = render_peak(report)
         assert len(report["certificates"]) > 100
         assert peak <= 2.8 * len(out)

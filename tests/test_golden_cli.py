@@ -103,6 +103,9 @@ def _grid() -> list[list[str]]:
         cases += [["chern", "--weights", ws, "--n", "5"],
                   ["chern", "--weights", ws, "--truncation", "4"],
                   ["chern", "--weights", ws]]
+    # an n below 0 is refused as such, not as the truncation n + 1
+    cases += [["chern", "--weights", "1,2", "--n", "-1"],
+              ["chern", "--weights", "1,2", "--n=-1"]]
     # requests that fail two checks: the message names the first one
     cases += [argv.split() for argv in (
         "cohomology --n 10000000 --k 3 --weights 1,2,3 --prime 2",
@@ -120,6 +123,16 @@ def _grid() -> list[list[str]]:
     cases += [argv.split() for argv in (
         "span --n 9 --wei -3,4", "immersion --n 9 --weight -3,4",
         "lens --d 3 --m 7 --we -1,2")]
+    # argparse-path requests of every weighted command, so the params echo
+    # is pinned off the plain reader too: a defaulted truncation, one from
+    # --n and a given prime bound among them
+    cases += [argv.split() for argv in (
+        "pontrjagin --n 5 --weights 1,2 --mod 3",
+        "chern --weights 1,2 --trunc 4", "chern --wei 1,2 --n 4",
+        "cohomology --n 5 --k 2 --wei 1,2 --prime 3",
+        "complement --n 4 --wei 1,2", "check-claims --n 7 --wei 1,2",
+        "span --n 7 --weights 1,2 --prime-b 50",
+        "immersion --n 8 --weights 1,8 --prime-b 50")]
     cases += [["bogus"], ["span", "--n", "7"],
               ["span", "--n", "7", "--weights", "1,two"],
               ["check-claims", "--n", "abc", "--weights", "1,2"],
