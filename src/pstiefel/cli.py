@@ -11,9 +11,9 @@ is deterministic: identical invocations produce identical bytes. One
 recursive pass renders the report, byte for byte what
 json.dumps(..., indent=2, sort_keys=True) gives for the same report with
 ints as decimal strings and Certificates as objects; it appends every
-piece to one list, joined once, writes a certificate from the template
-of its shape and joins int lists in chunks, so a report of long int
-lists peaks at about twice its length. The size caps live in
+piece to one list, joined once, writes certificates from one indented
+template per shape and list and joins int lists in chunks, so a report
+of long int lists peaks at about twice its length. The size caps live in
 pstiefel.costs and are checked by the engine functions before any work;
 a request past one is invalid input like any other ValueError.
 Exit codes: 0 for any successfully computed answer (including DISCREPANT
@@ -130,10 +130,10 @@ def _render(obj) -> str:
     """JSON text of a report whose every int prints as a quoted decimal:
     sorted keys, two-space indentation, "," and ": " as separators, ASCII
     strings. Int lists are joined in chunks of RENDER_CHUNK, a Certificate
-    fills its CERTIFICATE_TEMPLATES entry, bools stay true and false. Keys
-    must be strings; a float or any other type raises TypeError. Every
-    piece goes to one list, joined once, so a report of long int lists
-    peaks at about twice its length."""
+    fills its CERTIFICATE_TEMPLATES entry, indented once per certificate
+    list, bools stay true and false. Keys must be strings; a float or any
+    other type raises TypeError. Every piece goes to one list, joined
+    once, so a report of long int lists peaks at about twice its length."""
     pieces = []
     _emit(obj, "\n", pieces.append)
     return "".join(pieces)
@@ -158,12 +158,14 @@ def _emit(obj, indent: str, put) -> None:
         sep, lead = "," + inner, "{" + inner
         for key in sorted(obj):
             value = obj[key]
-            # an int or str field is one piece; exact types, so a bool
-            # still renders as true or false
+            # an int, str or None field is one piece; exact types, so a
+            # bool still renders as true or false
             if value.__class__ is int:
                 put(lead + _quote(key) + ': "' + str(value) + '"')
             elif value.__class__ is str:
                 put(lead + _quote(key) + ": " + _quote(value))
+            elif value is None:
+                put(lead + _quote(key) + ": null")
             else:
                 put(lead + _quote(key) + ": ")
                 _emit(value, inner, put)
@@ -177,21 +179,31 @@ def _emit(obj, indent: str, put) -> None:
             put("[]")
             return
         inner = indent + "  "
-        if set(map(type, obj)) == {int}:
+        sep, lead = "," + inner, "[" + inner
+        kinds = set(map(type, obj))
+        if kinds == {Certificate}:
+            # one indented template per shape; a certificate is one piece
+            shapes = {}
+            for span, (template, fields) in CERTIFICATE_TEMPLATES.items():
+                shapes[span] = template.replace("\n", inner), fields
+            for cert in obj:
+                template, fields = shapes[cert.claimed is None]
+                put(lead + template % fields(cert))
+                lead = sep
+        elif kinds == {int}:
             joiner = '",' + inner + '"'
-            lead = "[" + inner + '"'
+            lead += '"'
             for start in range(0, len(obj), RENDER_CHUNK):
                 put(lead)
                 put(joiner.join(map(str, obj[start:start + RENDER_CHUNK])))
                 lead = joiner
-            put('"' + indent + "]")
+            put('"')
         else:
-            sep, lead = "," + inner, "[" + inner
             for v in obj:
                 put(lead)
                 _emit(v, inner, put)
                 lead = sep
-            put(indent + "]")
+        put(indent + "]")
     else:
         raise TypeError(f"a report holds no {type(obj).__name__}")
 

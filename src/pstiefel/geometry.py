@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from .cohomology import InvariantViolation, StiefelParams, nilpotency_order
 from . import costs
@@ -147,11 +148,11 @@ def _certificate(n: int, ell: WeightTuple, p: int,
         raise ValueError(
             "certificates use odd primes only; the Pontrjagin series "
             "identity holds up to 2-torsion, which mod 2 proves nothing")
-    if series.modulus or series.truncation < order:
+    coeffs = series.coeffs
+    if series.modulus or len(coeffs) < order:
         raise ValueError(
             f"need an integer series truncated at {order} or beyond, got "
-            f"truncation {series.truncation} modulo {series.modulus}")
-    coeffs = series.coeffs
+            f"truncation {len(coeffs)} modulo {series.modulus}")
     for i in range((order - 1) // 2, 0, -1):
         w = coeffs[2 * i] % p
         if w:
@@ -193,11 +194,12 @@ class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
 
 
 def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
-           pontrjagin, rank) -> Sweep:
+           pontrjagin, pick) -> Sweep:
     """certificate(n, ell, p, series) for every odd prime p <= prime_bound,
-    all reading the one integer series pontrjagin(n, ell); the best
-    certificate is the one with the smallest rank(cert)."""
+    all reading the one integer series pontrjagin(n, ell), whose cap is
+    checked first; the best is pick(certs, key=bound), min or max."""
     _require_two_frames(ell, n)
+    costs.require_small_series(n, ell, n)
     if not 0 <= prime_bound <= MAX_PRIME_BOUND:
         raise ValueError(
             f"prime bound must be in [0, {MAX_PRIME_BOUND}], "
@@ -208,7 +210,8 @@ def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
     series = pontrjagin(n, ell, truncation=n) if primes else None
     certs = [cert for p in primes
              if (cert := certificate(n, ell, p, series)) is not None]
-    best = min(certs, key=rank, default=None)
+    # ties go to the smallest prime: primes ascend, min and max keep the first
+    best = pick(certs, key=attrgetter("bound"), default=None)
     return Sweep(n, ell, prime_bound, tuple(certs), best)
 
 
@@ -216,7 +219,7 @@ def best_span_bound(n: int, ell: WeightTuple, prime_bound: int) -> Sweep:
     """Sweep odd primes <= prime_bound; best = smallest span bound,
     ties going to the smallest prime."""
     return _sweep(n, ell, prime_bound, span_certificate, tangent_pontrjagin,
-                  lambda c: (c.bound, c.prime))
+                  min)
 
 
 def best_immersion_bound(n: int, ell: WeightTuple,
@@ -224,7 +227,7 @@ def best_immersion_bound(n: int, ell: WeightTuple,
     """Sweep odd primes <= prime_bound; best = largest certified dimension,
     ties going to the smallest prime."""
     return _sweep(n, ell, prime_bound, immersion_certificate,
-                  normal_pontrjagin, lambda c: (-c.bound, c.prime))
+                  normal_pontrjagin, max)
 
 
 class ClaimInstance(namedtuple(

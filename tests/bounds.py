@@ -179,6 +179,13 @@ REFUSED = [
     # any refusal of p, an order the golden grid pins
     over("span --n 1000000000000 --weights 1,2 --prime 3", 2804820237194,
          "check the series cap before the primality test"),
+    # a sweep checks the series cap before its prime bound: not the
+    # default 4n = 1,200,000 past MAX_PRIME_BOUND, and not a bound that
+    # admits no odd prime, which would answer "no certificate"
+    over("span --n 300000 --weights 1,2", 841433,
+         "a sweep checks the series cap before its prime bound"),
+    over("span --n 1000000000000 --weights 1,2 --prime-bound 2",
+         2804820237194, "even one that admits no odd prime"),
     # past the cap at truncation n but not at n - 1: one prime is refused
     # as the sweep is, whatever its nilpotency order (n - 1 for 3, n for
     # 41, which divides h_{n-1})

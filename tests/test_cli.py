@@ -727,7 +727,9 @@ CERTIFICATES = st.builds(
     st.booleans())
 LEAVES = (TEXT | INTS | st.booleans() | st.none() | CERTIFICATES
           | st.lists(INTS, max_size=6)
-          | st.lists(INTS | st.booleans(), max_size=6))
+          | st.lists(INTS | st.booleans(), max_size=6)
+          | st.lists(CERTIFICATES, min_size=1, max_size=6)
+          | st.lists(CERTIFICATES, min_size=1, max_size=6).map(tuple))
 REPORTS = st.recursive(
     LEAVES,
     lambda children: (st.lists(children, max_size=4)
@@ -774,6 +776,13 @@ class TestRender:
     @example(report={"certificates": [Certificate(3, 1, -2, 21),
                                       Certificate(7, 2, 6, 24, 25)],
                      "d": [[Certificate(5, 10 ** 400, 1, -(10 ** 4999))]]})
+    # a certificate list two levels deep, a list of one certificate, and
+    # a list that mixes a certificate with a dict and an int, which still
+    # renders element by element
+    @example(report={"a": {"b": (Certificate(3, 1, -2, 21),
+                                 Certificate(7, 2, 6, 24, 25))}})
+    @example(report=[Certificate(7, 2, 6, 24, 25)])
+    @example(report=[Certificate(3, 1, -2, 21), {"a": None}, 5])
     def test_matches_the_two_pass_encoder(self, any_int_digits, report):
         assert cli._render(report) == two_pass(report)
 
@@ -782,6 +791,26 @@ class TestRender:
     def test_other_types_raise(self, report):
         with pytest.raises(TypeError):
             cli._render(report)
+
+    def test_a_certificate_list_indents_each_template_once(
+            self, monkeypatch):
+        indented = []
+
+        class Template(str):
+            def replace(self, *args):
+                indented.append(str(self))
+                return str.replace(self, *args)
+
+        monkeypatch.setattr(cli, "CERTIFICATE_TEMPLATES", {
+            span: (Template(template), fields) for span, (template, fields)
+            in cli.CERTIFICATE_TEMPLATES.items()})
+        report = {"certificates": [
+            Certificate(p, 1, 1, p, None if i % 2 else p + 1)
+            for i, p in enumerate(range(3, 103, 2))]}
+        assert len(report["certificates"]) == 50
+        assert cli._render(report) == two_pass(report)
+        # at most one call per shape
+        assert len(indented) == len(set(indented)) <= 2
 
     def test_peak_memory_is_about_twice_the_report(self):
         report = {"result": {"coefficients": list(range(100_000)),

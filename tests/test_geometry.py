@@ -190,6 +190,32 @@ class TestImmersionCertificates:
         assert best_immersion_bound(8, W(1, 8), 2).certificates == ()
 
 
+class TestSweepBest:
+    # primitive pairs with |l| <= 9, each swept to the default bound 4n
+    @settings(max_examples=100, deadline=None)
+    @given(ell=st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+           .filter(lambda ws: math.gcd(*ws) == 1).map(WeightTuple),
+           n=st.integers(2, 200))
+    def test_ties_go_to_the_smallest_prime(self, ell, n):
+        span = best_span_bound(n, ell, 4 * n)
+        assert span.best == min(span.certificates, default=None,
+                                key=lambda c: (c.bound, c.prime))
+        immersion = best_immersion_bound(n, ell, 4 * n)
+        assert immersion.best == min(immersion.certificates, default=None,
+                                     key=lambda c: (-c.bound, c.prime))
+
+    def test_pinned_tie(self):
+        # 5 and 7 both give span <= 19, 3 and 5 both rule out R^32
+        span = best_span_bound(7, W(1, 2), 7)
+        assert [(c.prime, c.bound) for c in span.certificates] == [
+            (3, 21), (5, 19), (7, 19)]
+        assert span.best.prime == 5
+        immersion = best_immersion_bound(8, W(1, 8), 5)
+        assert [(c.prime, c.bound) for c in immersion.certificates] == [
+            (3, 32), (5, 32)]
+        assert immersion.best.prime == 3
+
+
 class TestSweepInput:
     @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
     def test_rejects_small_n_even_with_no_primes(self, sweep):
@@ -216,6 +242,15 @@ class TestSweepInput:
     def test_rejects_other_frame_counts(self):
         with pytest.raises(ValueError, match="exactly two weights"):
             best_span_bound(7, W(1, 2, 3), 0)
+
+    @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
+    @pytest.mark.parametrize("n,prime_bound", [
+        (300_000, 1_200_000), (10 ** 12, 2), (10 ** 12, 0)])
+    def test_series_cap_is_checked_before_the_prime_bound(
+            self, sweep, n, prime_bound):
+        # whether the bound is past its cap or admits no odd prime
+        with pytest.raises(ValueError, match=f"at truncation {n} "):
+            sweep(n, W(1, 2), prime_bound)
 
 
 class TestCertificateInput:

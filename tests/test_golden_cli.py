@@ -118,6 +118,10 @@ def _grid() -> list[list[str]]:
         "lens --d 2000000 --m 1 --weights 1,2",
         "lens --d 100000 --m 1 --weights 1,1000000000000000000",
         "span --n 100000 --weights 1,8 --prime 2",
+        # a sweep checks the series cap first: not the default bound 4n,
+        # and not a bound that admits no odd prime
+        "span --n 300000 --weights 1,2",
+        "span --n 1000000000000 --weights 1,2 --prime-bound 2",
         "check-claims --n 1000001 --weights 1,2")]
     # abbreviations of --weights, bound to a negative first weight
     cases += [argv.split() for argv in (
