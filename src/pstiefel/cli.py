@@ -130,10 +130,11 @@ def _render(obj) -> str:
     """JSON text of a report whose every int prints as a quoted decimal:
     sorted keys, two-space indentation, "," and ": " as separators, ASCII
     strings. Int lists are joined in chunks of RENDER_CHUNK, a Certificate
-    fills its CERTIFICATE_TEMPLATES entry, indented once per certificate
-    list, bools stay true and false. Keys must be strings; a float or any
-    other type raises TypeError. Every piece goes to one list, joined
-    once, so a report of long int lists peaks at about twice its length."""
+    fills its CERTIFICATE_TEMPLATES entry, indented on its first use in
+    each certificate list, bools stay true and false. Keys must be
+    strings; a float or any other type raises TypeError. Every piece goes
+    to one list, joined once, so a report of long int lists peaks at
+    about twice its length."""
     pieces = []
     _emit(obj, "\n", pieces.append)
     return "".join(pieces)
@@ -182,12 +183,15 @@ def _emit(obj, indent: str, put) -> None:
         sep, lead = "," + inner, "[" + inner
         kinds = set(map(type, obj))
         if kinds == {Certificate}:
-            # one indented template per shape; a certificate is one piece
+            # a shape's template is indented on its first use in the list;
+            # a certificate is one piece
             shapes = {}
-            for span, (template, fields) in CERTIFICATE_TEMPLATES.items():
-                shapes[span] = template.replace("\n", inner), fields
             for cert in obj:
-                template, fields = shapes[cert.claimed is None]
+                span = cert.claimed is None
+                if span not in shapes:
+                    template, fields = CERTIFICATE_TEMPLATES[span]
+                    shapes[span] = template.replace("\n", inner), fields
+                template, fields = shapes[span]
                 put(lead + template % fields(cert))
                 lead = sep
         elif kinds == {int}:

@@ -23,7 +23,8 @@ import sys
 from array import array
 from collections import namedtuple
 from itertools import repeat
-from operator import lshift, or_
+from operator import itemgetter
+from struct import iter_unpack
 
 from .costs import require_presentation
 from .ring import require_prime
@@ -171,36 +172,37 @@ def poincare_polynomial(pres: CohomologyPresentation) -> list[int]:
 
     (1 + t^2 + ... + t^{2(order-1)}) * prod_g (1 + t^{deg g}), by
     Kronecker substitution: coefficient i sits in the i-th byte field of
-    one int, so each factor (1 + t^d) is one shift and one add. No
-    coefficient exceeds the total rank order * 2^len(degrees), so fields
-    of exactly that byte length never carry. To unpack, each field is
-    copied into its own run of 64-bit lanes (one strided slice assignment
-    per byte of the field), the lanes are read as one native array, and
-    the lanes of each field are joined by shifts, with no Python bytecode
-    per coefficient.
+    one int, so each factor (1 + t^d) is one shift and one add. The
+    coefficient of t^s counts the pairs (e, S) with S a set of exterior
+    factors and 2e + sum(S) = s; each S allows at most one e, so no
+    coefficient, and no partial product's, exceeds 2^len(degrees) (degree-0
+    factors included), and fields of len(degrees) + 1 bits rounded up to
+    bytes never carry. A field of at most 8 bytes is copied into its own
+    64-bit lane (one strided slice assignment per byte of the field) and
+    the lanes are read as one native array; a wider field is read whole
+    by int.from_bytes. Neither path runs Python bytecode per coefficient.
     """
     order, degrees = pres.nilpotency_order, pres.exterior_degrees
     count = max(2 * (order - 1) + sum(degrees) + 1, 0)
-    width = max(1, ((order << len(degrees)).bit_length() + 7) // 8)
-    lanes = -(-width // 8)
+    width = (len(degrees) + 8) // 8
     packed = int.from_bytes((b"\x01" + bytes(2 * width - 1)) * order, "little")
     for d in degrees:
         packed += packed << (8 * d * width)
     raw = packed.to_bytes(count * width, "little")
     del packed
-    stride = 8 * lanes
-    buf = bytearray(count * stride)
+    if width > 8:
+        return list(map(int.from_bytes,
+                        map(itemgetter(0), iter_unpack(f"{width}s", raw)),
+                        repeat("little")))
+    buf = bytearray(count * 8)
     for j in range(width):
-        buf[j::stride] = raw[j::width]
+        buf[j::8] = raw[j::width]
     del raw
     words = array("Q", buf)
     del buf
     if sys.byteorder == "big":
         words.byteswap()
-    out = words[lanes - 1::lanes].tolist()
-    for lane in range(lanes - 2, -1, -1):
-        out = list(map(or_, map(lshift, out, repeat(64)), words[lane::lanes]))
-    return out
+    return words.tolist()
 
 
 def check_presentation_invariants(

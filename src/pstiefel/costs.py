@@ -100,7 +100,9 @@ def require_small_sums(command: str, ell, r: int) -> None:
 def packed_poincare_bytes(n: int, k: int) -> int:
     """Bound on the size of poincare_polynomial's packed int: one field per
     degree 0..k(2n - k) - 1, each wide enough for a total rank of at most
-    n * 2^(k-1) (order <= n, k - 1 exterior classes)."""
+    n * 2^(k-1) (order <= n, k - 1 exterior classes). The kernel's fields
+    hold only 2^(k-1), its largest coefficient, so they are never wider,
+    and the estimate stays an upper bound."""
     return k * (2 * n - k) * ((n.bit_length() + k + 6) // 8)
 
 

@@ -196,18 +196,17 @@ class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
 def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
            pontrjagin, pick) -> Sweep:
     """certificate(n, ell, p, series) for every odd prime p <= prime_bound,
-    all reading the one integer series pontrjagin(n, ell), whose cap is
-    checked first; the best is pick(certs, key=bound), min or max."""
-    _require_two_frames(ell, n)
-    costs.require_small_series(n, ell, n)
+    all reading the one integer series pontrjagin(n, ell), built first, so
+    its frame and cap checks refuse before the prime bound's; the best is
+    pick(certs, key=bound), min or max."""
+    # the nilpotency order of a two-frame quotient is n - 1 or n, so
+    # truncation n serves every prime
+    series = pontrjagin(n, ell, truncation=n)
     if not 0 <= prime_bound <= MAX_PRIME_BOUND:
         raise ValueError(
             f"prime bound must be in [0, {MAX_PRIME_BOUND}], "
             f"got {prime_bound}")
     primes = [p for p in primes_upto(prime_bound) if p != 2]
-    # the nilpotency order of a two-frame quotient is n - 1 or n, so
-    # truncation n serves every prime
-    series = pontrjagin(n, ell, truncation=n) if primes else None
     certs = [cert for p in primes
              if (cert := certificate(n, ell, p, series)) is not None]
     # ties go to the smallest prime: primes ascend, min and max keep the first

@@ -272,7 +272,7 @@ ANSWERED = [
             "[-207951, 207951]", "takes 0.84 s and 40 MB", rss_mb=40),
     answers("bound", f"cohomology --n 400 --k 200 --weights={ones(200)} "
             "--prime 3 --json", 10, 2.0, '"nilpotency_order": "243"',
-            "n = 400, k = 200 is 3.1 MB, 0.64 s and 6.3 MB of JSON"),
+            "n = 400, k = 200 is 3.1 MB, 0.40 s and 6.3 MB of JSON"),
     answers("bound", f"chern --weights 1,{E18} --truncation 534 --json", 10,
             2.0, '"truncation": "534"',
             "truncation 534 for `chern` (0.7 s with `--json`)"),

@@ -792,8 +792,12 @@ class TestRender:
         with pytest.raises(TypeError):
             cli._render(report)
 
+    @pytest.mark.parametrize("claimed,shapes", [
+        (lambda i, p: None if i % 2 else p + 1, 2),
+        (lambda i, p: None, 1),
+        (lambda i, p: p + 1, 1)], ids=["mixed", "span", "immersion"])
     def test_a_certificate_list_indents_each_template_once(
-            self, monkeypatch):
+            self, monkeypatch, claimed, shapes):
         indented = []
 
         class Template(str):
@@ -805,12 +809,17 @@ class TestRender:
             span: (Template(template), fields) for span, (template, fields)
             in cli.CERTIFICATE_TEMPLATES.items()})
         report = {"certificates": [
-            Certificate(p, 1, 1, p, None if i % 2 else p + 1)
+            Certificate(p, 1, 1, p, claimed(i, p))
             for i, p in enumerate(range(3, 103, 2))]}
         assert len(report["certificates"]) == 50
         assert cli._render(report) == two_pass(report)
-        # at most one call per shape
-        assert len(indented) == len(set(indented)) <= 2
+        # one call per shape the list holds, none for a shape it lacks
+        assert len(indented) == len(set(indented)) == shapes
+        # and one for a list of one certificate
+        indented.clear()
+        assert cli._render(report["certificates"][1:2]) == two_pass(
+            report["certificates"][1:2])
+        assert len(indented) == 1
 
     def test_peak_memory_is_about_twice_the_report(self):
         report = {"result": {"coefficients": list(range(100_000)),
@@ -931,6 +940,16 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError(f"built for {args!r}")
 
+    # a sweep's prime bound refuses before its sieve, but after its series,
+    # whose build checks the series cap first
+    refusals = [row for row in ROWS if row.test == "refused"]
+    bound_rows = [row for row in refusals
+                  if row.expect.startswith("prime bound")]
+    assert bound_rows
+    monkeypatch.setattr(geometry, "primes_upto", no_work)
+    for row in bound_rows:
+        assert main(row.request.split()) == 1, row.id
+
     monkeypatch.setattr(TruncatedSeries, "int_pow", no_work)
     monkeypatch.setattr(geometry, "TruncatedSeries", no_work)
     monkeypatch.setattr(geometry, "nilpotency_order", no_work)
@@ -944,10 +963,10 @@ def test_caps_are_checked_before_any_table_or_series(capsys, monkeypatch):
     monkeypatch.setattr(cohomology, "require_prime", no_work)
     monkeypatch.setattr(cohomology, "homogeneous_sum", no_work)
     monkeypatch.setattr(cohomology, "nilpotency_order", no_work)
-    # every refusal of the bounds table
-    refusals = [row for row in ROWS if row.test == "refused"]
+    # every other refusal of the bounds table
     for row in refusals:
-        assert main(row.request.split()) == 1, row.id
+        if row not in bound_rows:
+            assert main(row.request.split()) == 1, row.id
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("pstiefel: error: ") == len(refusals)

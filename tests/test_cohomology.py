@@ -55,8 +55,9 @@ class TestStiefelParams:
             for k in range(1, n + 1):
                 pr = params(n, k, (1,) * k)
                 pres = presentation_odd(pr, 3)
-                rank = pres.nilpotency_order << len(pres.exterior_degrees)
-                width = max(1, (rank.bit_length() + 7) // 8)
+                # the kernel's field: len(degrees) + 1 bits, in bytes
+                width = (len(pres.exterior_degrees) + 8) // 8
+                assert max(poincare_polynomial(pres)) < 256 ** width
                 assert (pr.dimension + 1) * width <= packed_poincare_bytes(
                     n, k)
 
@@ -229,13 +230,15 @@ class TestPoincarePolynomial:
 class TestPackedPoincareKernel:
     """The packed kernel against the schoolbook oracle.
 
-    A factor of degree 0 doubles every coefficient, so (order 1, b zero
-    degrees) has the single coefficient 2^b, equal to the total rank:
-    the field width is exactly tight there. A total just below 2^b takes
-    b / 8 bytes and one at 2^b one byte more, so the cases below reach
-    field widths 1 to 6, 8 to 10, 12, 13, 16 to 18, 20, 21, 24 and 25
-    bytes, and the lane edges at 2^64, 2^128 and 2^192, where a field
-    takes one more 64-bit lane.
+    No coefficient exceeds 2^len(degrees), so a field is len(degrees) + 1
+    bits rounded up to bytes; fields of at most 8 bytes are read as 64-bit
+    lanes and wider ones whole. A factor of degree 0 doubles every
+    coefficient, so (order 1, b zero degrees) has the single coefficient
+    2^b and the field width is exactly tight there: b = 7 and 8 are the
+    edge of widths 1 and 2, and b = 63 and 64 that of widths 8 and 9,
+    where the lane read gives way to the whole-field one. width_cases
+    reach field widths 1 to 6, 8 to 10, 12, 13, 16 to 18, 20, 21, 24 and
+    25 bytes, on both sides of that switch.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -247,6 +250,20 @@ class TestPackedPoincareKernel:
 
     def test_order_one_without_generators(self):
         assert poincare_polynomial(CohomologyPresentation(3, 1, ())) == [1]
+
+    @pytest.mark.parametrize("zeros", [7, 8, 63, 64])
+    def test_tight_field_edges(self, zeros):
+        pres = CohomologyPresentation(3, 1, (0,) * zeros)
+        got = poincare_polynomial(pres)
+        assert got == poincare_schoolbook(pres) == [2 ** zeros]
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(0, 20),
+           degrees=st.lists(st.integers(0, 5), min_size=60, max_size=80))
+    def test_many_small_degrees_cross_the_lane_switch(self, order, degrees):
+        # 60 to 80 factors: widths 8 to 11, lanes and whole fields both
+        pres = CohomologyPresentation(3, order, tuple(degrees))
+        assert poincare_polynomial(pres) == poincare_schoolbook(pres)
 
     @pytest.mark.parametrize(
         "order,degrees",

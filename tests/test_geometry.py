@@ -252,6 +252,22 @@ class TestSweepInput:
         with pytest.raises(ValueError, match=f"at truncation {n} "):
             sweep(n, W(1, 2), prime_bound)
 
+    @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
+    @pytest.mark.parametrize("prime_bound", [240, 2, -1])
+    def test_series_is_priced_once(self, monkeypatch, sweep, prime_bound):
+        # the series build's own cap check is the sweep's, also when the
+        # bound is then refused or admits no odd prime
+        priced = []
+        check = geometry.costs.require_small_series
+        monkeypatch.setattr(geometry.costs, "require_small_series",
+                            lambda *args: priced.append(args) or check(*args))
+        if prime_bound < 0:
+            with pytest.raises(ValueError, match="prime bound"):
+                sweep(60, W(1, 2), prime_bound)
+        else:
+            sweep(60, W(1, 2), prime_bound)
+        assert priced == [(60, W(1, 2), 60)]
+
 
 class TestCertificateInput:
     @pytest.mark.parametrize("certificate",

@@ -191,9 +191,10 @@ class TestOneBuildPerCall:
             assert builds == [{"truncation": 20}]
 
     @pytest.mark.parametrize("sweep", [best_span_bound, best_immersion_bound])
-    def test_no_odd_prime_builds_nothing(self, builds, sweep):
-        sweep(20, WeightTuple((1, 2)), 2)
-        assert builds == []
+    def test_no_odd_prime_still_builds_once(self, builds, sweep):
+        # the build runs the series cap, which refuses ahead of the bound
+        assert sweep(20, WeightTuple((1, 2)), 2).certificates == ()
+        assert builds == [{"truncation": 20}]
 
     def test_identical_sweeps_build_twice(self, builds):
         first = best_span_bound(20, WeightTuple((1, 2)), 80)
