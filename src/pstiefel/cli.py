@@ -262,10 +262,9 @@ def _rank_report(rep: RankBoundReport):
 # args as params. Handlers whose lines are long build none under --json.
 
 def _cmd_cohomology(args):
-    ell = args.weights
-    params = StiefelParams(args.n, args.k, ell)
+    params = StiefelParams(args.n, args.k, args.weights)
     if args.prime == 2:
-        pres = presentation_mod2(args.n, ell)
+        pres = presentation_mod2(params)
     else:
         pres = presentation_odd(params, args.prime)
     check = check_presentation_invariants(pres, params)
@@ -278,7 +277,7 @@ def _cmd_cohomology(args):
         "generator_degree": CohomologyPresentation.generator_degree,
         "relation": f"x^{pres.nilpotency_order}",
         "exterior_degrees": list(pres.exterior_degrees),
-        "mod2_square_relations": pres.mod2_square_relations,
+        "mod2_square_relations": pres.prime == 2,
         "presentation": pres.describe(),
         "poincare_coefficients": check.poincare,
         # every field of the check but the last, its poincare list
@@ -395,7 +394,8 @@ def _cmd_check_claims(args):
                 f"{check.kind} claim vacuous: no qualifying prime")
         for inst in check.instances:
             entry = {**inst._asdict(), "kind": check.kind,
-                     "hypotheses": dict(inst.hypotheses)}
+                     "hypotheses": dict(inst.hypotheses),
+                     "admissible": True if inst.index is not None else None}
             if check.kind == "immersion" and inst.claimed is not None:
                 entry["certified"] = inst.claimed - 1
             claim_payload.append(entry)

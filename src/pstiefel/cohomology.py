@@ -11,10 +11,9 @@ first j in (n-k, n] whose h_j survives mod p becomes the truncation
 exponent, and every other odd generator in the window survives as an
 exterior class.
 
-At p = 2 with two frame vectors the answer is one of two shapes, chosen
-by the parity of h_{n-1}: either x^n with an exterior class in degree
-2n - 3 or x^{n-1} with an exterior class in degree 2n - 1, both imposed
-as square-zero polynomial relations.
+At p = 2 with two frame vectors the same window rule gives the
+presentation, with the odd generator's square imposed as a polynomial
+relation rather than read as exterior.
 """
 
 from __future__ import annotations
@@ -56,15 +55,12 @@ class StiefelParams(namedtuple("StiefelParams", "n k ell")):
 
 
 class CohomologyPresentation(namedtuple(
-        "CohomologyPresentation",
-        "prime nilpotency_order exterior_degrees mod2_square_relations",
-        defaults=(False,))):
+        "CohomologyPresentation", "prime nilpotency_order exterior_degrees")):
     """Z/p[x]/(x^order) tensor an algebra on odd-degree generators.
 
     The degree-2 polynomial class is truncated at nilpotency_order; the
-    odd generators (a tuple of degrees) are exterior for odd p.
-    mod2_square_relations marks the p = 2 shape, where the odd
-    generator's square is imposed as a polynomial relation instead.
+    odd generators (a tuple of degrees) are exterior for odd p, and for
+    p = 2 their squares are imposed as polynomial relations instead.
     """
 
     __slots__ = ()
@@ -75,7 +71,7 @@ class CohomologyPresentation(namedtuple(
         poly = f"Z/{self.prime}[x]/(x^{self.nilpotency_order})"
         if not gens:
             return poly
-        if self.mod2_square_relations:
+        if self.prime == 2:
             squares = ", ".join(f"y[{d}]^2" for d in self.exterior_degrees)
             return (f"Z/{self.prime}[x, {gens}]/"
                     f"(x^{self.nilpotency_order}, {squares})")
@@ -136,35 +132,37 @@ def nilpotency_order(params: StiefelParams, p: int) -> int:
         "finite-dimensionality forces one in the window")
 
 
+def _window_presentation(params: StiefelParams,
+                         p: int) -> CohomologyPresentation:
+    """The first surviving h_j in the window (n-k, n] truncates x; every
+    other generator in the window survives in degree 2j - 1."""
+    order = nilpotency_order(params, p)
+    window = range(params.n - params.k + 1, params.n + 1)
+    degrees = tuple(2 * j - 1 for j in window if j != order)
+    return CohomologyPresentation(p, order, degrees)
+
+
 def presentation_odd(params: StiefelParams, p: int) -> CohomologyPresentation:
     """Mod-p presentation for odd p: truncated polynomial tensor exterior."""
     require_presentation(params.n, params.k)
     if p == 2:
         raise ValueError(
             "p = 2 is handled by presentation_mod2 (two-frame quotients only)")
-    order = nilpotency_order(params, p)
-    degrees = tuple(
-        2 * j - 1
-        for j in range(params.n - params.k + 1, params.n + 1)
-        if j != order)
-    return CohomologyPresentation(p, order, degrees)
+    return _window_presentation(params, p)
 
 
-def presentation_mod2(n: int, ell: WeightTuple) -> CohomologyPresentation:
-    """Mod-2 presentation of a two-frame quotient.
+def presentation_mod2(params: StiefelParams) -> CohomologyPresentation:
+    """Mod-2 presentation of a two-frame quotient: the window rule at
+    p = 2, with the odd generator's square imposed as a relation.
 
-    h_{n-1} even gives Z/2[x, y]/(x^n, y^2) with y in degree 2n - 3;
-    h_{n-1} odd gives Z/2[x, y]/(x^{n-1}, y^2) with y in degree 2n - 1.
+    That is Z/2[x, y]/(x^n, y^2) with y in degree 2n - 3 when h_{n-1} is
+    even, and Z/2[x, y]/(x^{n-1}, y^2) with y in degree 2n - 1 when odd.
     """
-    require_presentation(n, len(ell))
-    if len(ell) != 2:
+    require_presentation(params.n, params.k)
+    if params.k != 2:
         raise ValueError("mod-2 presentations are only available for "
                          "two-frame quotients (k = 2)")
-    if n < 2:
-        raise ValueError(f"need n >= 2 for two frames, got {n}")
-    if homogeneous_sum(ell, n - 1, 2) == 0:
-        return CohomologyPresentation(2, n, (2 * n - 3,), True)
-    return CohomologyPresentation(2, n - 1, (2 * n - 1,), True)
+    return _window_presentation(params, 2)
 
 
 def poincare_polynomial(pres: CohomologyPresentation) -> list[int]:

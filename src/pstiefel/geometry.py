@@ -230,13 +230,13 @@ def best_immersion_bound(n: int, ell: WeightTuple,
 
 
 class ClaimInstance(namedtuple(
-        "ClaimInstance", "prime part hypotheses index admissible coefficient "
+        "ClaimInstance", "prime part hypotheses index coefficient "
         "claimed verdict notes", defaults=((),))):
     """One closed-form claim instance checked against direct computation.
 
     hypotheses is a tuple of (name, holds) pairs and notes a tuple of
-    strings; index, admissible, coefficient and claimed are None when a
-    hypothesis fails, and admissible is True otherwise."""
+    strings; index, coefficient and claimed are None when a hypothesis
+    fails."""
 
     __slots__ = ()
 
@@ -289,12 +289,12 @@ def _claim(p, part, hypotheses, series, index, claimed, notes=()):
     DISCREPANT when not. The checkers' hypotheses make every index
     admissible."""
     if index is None:
-        return ClaimInstance(p, part, hypotheses, None, None, None, None,
+        return ClaimInstance(p, part, hypotheses, None, None, None,
                              NOT_APPLICABLE)
     coefficient = series.coeff(2 * index) % p
     verdict = AGREE if coefficient else DISCREPANT
-    return ClaimInstance(p, part, hypotheses, index, True, coefficient,
-                         claimed, verdict, notes)
+    return ClaimInstance(p, part, hypotheses, index, coefficient, claimed,
+                         verdict, notes)
 
 
 def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:

@@ -219,7 +219,7 @@ LIBRARY = [Row("library", f"{call}-{argv}", call, "ValueError",
      f"chern --weights 1,{E18} --truncation 3000"),
     ("presentation_odd(StiefelParams(10**7, 2, WeightTuple((1, 2))), 3)",
      "cohomology --n 10000000 --k 2 --weights 1,2 --prime 3"),
-    ("presentation_mod2(10**7, WeightTuple((1, 2)))",
+    ("presentation_mod2(StiefelParams(10**7, 2, WeightTuple((1, 2))))",
      "cohomology --n 10000000 --k 2 --weights 1,2 --prime 2"),
     ("presentation_odd(StiefelParams(223_000, 3, WeightTuple((1, 2, 3))), 3)",
      "cohomology --n 223000 --k 3 --weights 1,2,3 --prime 3"),

@@ -1026,7 +1026,7 @@ def test_k_at_least_3_library_call_with_large_weights_answers():
 
     params = StiefelParams(50_000, 3, weights.WeightTuple((1, 2, 1000)))
     pres = presentation_odd(params, 3)
-    assert pres == (3, 49_998, (99_997, 99_999), False)
+    assert pres == (3, 49_998, (99_997, 99_999))
     assert check_presentation_invariants(pres, params).passed
 
 
@@ -1034,13 +1034,13 @@ def test_closed_stdout_exits_1_without_a_traceback():
     # about 360 KB of JSON, far more than a pipe buffer holds, into a
     # pipe whose reader is gone before the first byte
     weights = ",".join(["1"] * 69 + ["2"])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "pstiefel", "cohomology", "--n", "140",
-         "--k", "70", f"--weights={weights}", "--prime", "3", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "pstiefel", "cohomology", "--n", "140",
+             "--k", "70", f"--weights={weights}", "--prime", "3", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     # no traceback, no "Exception ignored", nothing at all
     assert err == ""
 

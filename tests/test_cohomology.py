@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pstiefel.cohomology as cohomology
@@ -67,13 +67,13 @@ class TestStiefelParams:
         size = packed_poincare_bytes(6, 2)
         monkeypatch.setattr(costs, "MAX_COHOMOLOGY_BYTES", size)
         assert presentation_odd(params(6, 2, (1, 2)), 3).nilpotency_order
-        assert presentation_mod2(6, WeightTuple((1, 2))).nilpotency_order
+        assert presentation_mod2(params(6, 2, (1, 2))).nilpotency_order
         monkeypatch.setattr(costs, "MAX_COHOMOLOGY_BYTES", size - 1)
         refusal = f"<= {size - 1} bytes, got {size} \\(n = 6, k = 2\\)$"
         with pytest.raises(ValueError, match=refusal):
             presentation_odd(params(6, 2, (1, 2)), 3)
         with pytest.raises(ValueError, match=refusal):
-            presentation_mod2(6, WeightTuple((1, 2)))
+            presentation_mod2(params(6, 2, (1, 2)))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -189,22 +189,37 @@ class TestPresentationOdd:
 
 class TestPresentationMod2:
     def test_even_branch_squares_survive(self):
-        pres = presentation_mod2(4, WeightTuple((1, 1)))
-        assert pres.nilpotency_order == 4
-        assert pres.exterior_degrees == (5,)
-        assert pres.mod2_square_relations is True
+        pres = presentation_mod2(params(4, 2, (1, 1)))
+        assert pres == (2, 4, (5,))
+        assert pres.describe() == "Z/2[x, y[5]]/(x^4, y[5]^2)"
 
     def test_odd_branch(self):
-        pres = presentation_mod2(4, WeightTuple((1, 2)))
+        pres = presentation_mod2(params(4, 2, (1, 2)))
         assert (pres.nilpotency_order, pres.exterior_degrees) == (3, (7,))
-        pres = presentation_mod2(3, WeightTuple((1, -1)))
+        pres = presentation_mod2(params(3, 2, (1, -1)))
         assert (pres.nilpotency_order, pres.exterior_degrees) == (2, (5,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 300), l1=st.integers(-20, 20),
+           l2=st.integers(-20, 20))
+    def test_window_rule_matches_the_parity_of_h_n_minus_1(self, n, l1, l2):
+        assume(math.gcd(l1, l2) == 1)
+        p = params(n, 2, (l1, l2))
+        pres = presentation_mod2(p)
+        # the exact h_{n-1}, not its residue: the oracle the window rule
+        # at p = 2 must agree with
+        if homogeneous_sum(p.ell, n - 1) % 2 == 0:
+            assert pres == (2, n, (2 * n - 3,))
+        else:
+            assert pres == (2, n - 1, (2 * n - 1,))
+        assert check_presentation_invariants(pres, p).passed
 
     def test_guards(self):
         with pytest.raises(ValueError, match="two-frame"):
-            presentation_mod2(4, WeightTuple((1, 1, 1)))
-        with pytest.raises(ValueError, match="n >= 2"):
-            presentation_mod2(1, WeightTuple((1, 0)))
+            presentation_mod2(params(4, 3, (1, 1, 1)))
+        # n = 1 cannot carry two frames: the record refuses it first
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            presentation_mod2(params(1, 2, (1, 0)))
 
 
 class TestPoincarePolynomial:

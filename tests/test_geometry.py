@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import tracemalloc
 
@@ -463,9 +466,9 @@ class TestClaimVerdictRule:
         agree = geometry._claim(3, 1, (), self.SERIES, 1, 9)
         discrepant = geometry._claim(3, 1, (), self.SERIES, 2, 9)
         absent = geometry._claim(3, 1, (), self.SERIES, None, 9)
-        assert agree[3:8] == (1, True, 2, 9, AGREE)
-        assert discrepant[3:8] == (2, True, 0, 9, DISCREPANT)
-        assert absent[3:8] == (None, None, None, None, NOT_APPLICABLE)
+        assert agree[3:7] == (1, 2, 9, AGREE)
+        assert discrepant[3:7] == (2, 0, 9, DISCREPANT)
+        assert absent[3:7] == (None, None, None, NOT_APPLICABLE)
 
 
 CLAIMS = {"span": (check_span_theorem, tangent_pontrjagin),
@@ -475,7 +478,8 @@ CLAIMS = {"span": (check_span_theorem, tangent_pontrjagin),
 class TestClaimIndicesAreAdmissible:
     """The claim checkers ask for no nilpotency order, since their
     hypotheses make every claimed index admissible; the order, read
-    here, confirms it for every applicable instance."""
+    here, confirms it for every applicable instance, and the report
+    says so for exactly those."""
 
     @pytest.mark.parametrize("kind", CLAIMS)
     @settings(max_examples=200, deadline=None)
@@ -496,10 +500,16 @@ class TestClaimIndicesAreAdmissible:
                 continue
             order = nilpotency_order(StiefelParams(n, 2, ell), inst.prime)
             assert 2 * inst.index <= order - 1
-            assert inst.admissible is True
             assert inst.coefficient == (series.coeff(2 * inst.index)
                                         % inst.prime)
             assert (inst.verdict == AGREE) == (inst.coefficient != 0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check-claims", "--n", str(n), "--weights="
+                         + ",".join(map(str, ell)), "--json"]) == 0
+        for entry in json.loads(out.getvalue())["claim_checks"]:
+            assert entry["admissible"] is (
+                None if entry["verdict"] == NOT_APPLICABLE else True)
 
     def test_claim_checks_ask_for_no_order_or_primality_test(
             self, monkeypatch, capsys):

@@ -102,8 +102,7 @@ class TestAgainstDenseOracle:
             for ws in PAIRS:
                 ell = WeightTuple(ws)
                 for inst in check(n, ell).instances:
-                    computed = (inst.index, inst.admissible,
-                                inst.coefficient, inst.claimed)
+                    computed = (inst.index, inst.coefficient, inst.claimed)
                     assert (inst.verdict == NOT_APPLICABLE) == all(
                         v is None for v in computed)
                     if inst.verdict == NOT_APPLICABLE:
@@ -114,10 +113,9 @@ class TestAgainstDenseOracle:
                         kind, n, ell, inst.prime,
                         max(order, 2 * inst.index + 1))
                     assert inst.coefficient == series.coeff(2 * inst.index)
-                    assert inst.admissible == (2 * inst.index <= order - 1)
+                    assert 2 * inst.index <= order - 1
                     assert inst.verdict == (
-                        AGREE if inst.coefficient and inst.admissible
-                        else DISCREPANT)
+                        AGREE if inst.coefficient else DISCREPANT)
                     checked += 1
         assert checked > 100
 

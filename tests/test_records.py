@@ -23,8 +23,7 @@ W = WeightTuple((1, 2))
 SPAN = Certificate(3, 1, 2, 5)
 # SuiteResult's failures and PresentationCheck's poincare are lists
 UNHASHABLE = ("SuiteResult", "PresentationCheck")
-INSTANCE = ClaimInstance(3, 1, (("p divides n", True),), 1, True, 2, 5,
-                         "AGREE")
+INSTANCE = ClaimInstance(3, 1, (("p divides n", True),), 1, 2, 5, "AGREE")
 
 # A case names its type, then an optional "-" and variant: (factory, a
 # field to assign, the repr).
@@ -35,7 +34,7 @@ RECORDS = {
     "CohomologyPresentation": (
         lambda: CohomologyPresentation(3, 4, (5, 7)), "prime",
         "CohomologyPresentation(prime=3, nilpotency_order=4, "
-        "exterior_degrees=(5, 7), mod2_square_relations=False)"),
+        "exterior_degrees=(5, 7))"),
     "PresentationCheck": (
         lambda: PresentationCheck(3, 3, 4, 4, True, [1, 1, 1, 1]),
         "poincare",
@@ -54,17 +53,16 @@ RECORDS = {
         "claimed=None),), best=Certificate(prime=3, index=1, witness=2, "
         "bound=5, claimed=None))"),
     "ClaimInstance": (
-        lambda: ClaimInstance(3, 1, (("p divides n", True),), 1, True, 2, 5,
+        lambda: ClaimInstance(3, 1, (("p divides n", True),), 1, 2, 5,
                               "AGREE"), "verdict",
         "ClaimInstance(prime=3, part=1, hypotheses=(('p divides n', True),), "
-        "index=1, admissible=True, coefficient=2, claimed=5, "
-        "verdict='AGREE', notes=())"),
+        "index=1, coefficient=2, claimed=5, verdict='AGREE', notes=())"),
     "ClaimCheck": (
         lambda: ClaimCheck("span", 7, W, (INSTANCE,)), "instances",
         "ClaimCheck(kind='span', n=7, ell=WeightTuple(weights=(1, 2)), "
         "instances=(ClaimInstance(prime=3, part=1, hypotheses=(('p divides "
-        "n', True),), index=1, admissible=True, coefficient=2, claimed=5, "
-        "verdict='AGREE', notes=()),))"),
+        "n', True),), index=1, coefficient=2, claimed=5, verdict='AGREE', "
+        "notes=()),))"),
     "RankBoundReport": (
         lambda: RankBoundReport("CP^3", 2, 3, "chern-nonzero", 2, 5),
         "lower_bound",
