@@ -12,7 +12,7 @@ from .cohomology import (CohomologyPresentation, InvariantViolation,
                          poincare_polynomial, presentation_mod2,
                          presentation_odd)
 from .geometry import (AGREE, DISCREPANT, NOT_APPLICABLE, Certificate,
-                       ClaimCheck, ClaimInstance, CriterionResult, LensParams,
+                       ClaimInstance, CriterionResult, LensParams,
                        RankBoundReport, best_immersion_bound, best_span_bound,
                        check_immersion_theorem, check_span_theorem,
                        cp_complement_min_rank, immersion_certificate,
@@ -30,7 +30,6 @@ __all__ = [
     "DISCREPANT",
     "NOT_APPLICABLE",
     "Certificate",
-    "ClaimCheck",
     "ClaimInstance",
     "CohomologyPresentation",
     "CriterionResult",

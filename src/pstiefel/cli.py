@@ -383,24 +383,23 @@ def _cmd_lens(args):
 
 
 def _cmd_check_claims(args):
-    checks = (check_span_theorem(args.n, args.weights),
-              check_immersion_theorem(args.n, args.weights))
+    # both checks run, span first, before any of the report is built
+    checks = (("span", check_span_theorem(args.n, args.weights)),
+              ("immersion", check_immersion_theorem(args.n, args.weights)))
     result, diagnostics, claim_payload, lines = {}, [], [], []
-    for check in checks:
-        result[f"{check.kind}_verdicts"] = list(check.verdicts)
-        result[f"{check.kind}_vacuous"] = check.vacuous
-        if check.vacuous:
-            diagnostics.append(
-                f"{check.kind} claim vacuous: no qualifying prime")
-        for inst in check.instances:
-            entry = {**inst._asdict(), "kind": check.kind,
+    for kind, instances in checks:
+        result[f"{kind}_verdicts"] = [inst.verdict for inst in instances]
+        result[f"{kind}_vacuous"] = not instances
+        if not instances:
+            diagnostics.append(f"{kind} claim vacuous: no qualifying prime")
+        for inst in instances:
+            entry = {**inst._asdict(), "kind": kind,
                      "hypotheses": dict(inst.hypotheses),
                      "admissible": True if inst.index is not None else None}
-            if check.kind == "immersion" and inst.claimed is not None:
+            if kind == "immersion" and inst.claimed is not None:
                 entry["certified"] = inst.claimed - 1
             claim_payload.append(entry)
-            desc = f"{check.kind} part {inst.part} p={inst.prime}: " \
-                   f"{inst.verdict}"
+            desc = f"{kind} part {inst.part} p={inst.prime}: {inst.verdict}"
             if inst.verdict != NOT_APPLICABLE:
                 desc += (f" (index {inst.index}, "
                          f"coefficient {inst.coefficient}, "

@@ -186,9 +186,9 @@ def immersion_certificate(n: int, ell: WeightTuple, p: int,
     return _certificate(n, ell, p, series, -1)
 
 
-class Sweep(namedtuple("Sweep", "n ell prime_bound certificates best")):
-    """All certificates for odd primes up to a bound (a tuple), plus the
-    best one, or None."""
+class Sweep(namedtuple("Sweep", "certificates best")):
+    """What a prime sweep found: the certificates for odd primes up to its
+    bound, a tuple in ascending prime order, and the best one, or None."""
 
     __slots__ = ()
 
@@ -211,7 +211,7 @@ def _sweep(n: int, ell: WeightTuple, prime_bound: int, certificate,
              if (cert := certificate(n, ell, p, series)) is not None]
     # ties go to the smallest prime: primes ascend, min and max keep the first
     best = pick(certs, key=attrgetter("bound"), default=None)
-    return Sweep(n, ell, prime_bound, tuple(certs), best)
+    return Sweep(tuple(certs), best)
 
 
 def best_span_bound(n: int, ell: WeightTuple, prime_bound: int) -> Sweep:
@@ -239,21 +239,6 @@ class ClaimInstance(namedtuple(
     fails."""
 
     __slots__ = ()
-
-
-class ClaimCheck(namedtuple("ClaimCheck", "kind n ell instances")):
-    """All instances of one closed-form claim for a given quotient: kind
-    "span" or "immersion", and a tuple of ClaimInstance."""
-
-    __slots__ = ()
-
-    @property
-    def vacuous(self) -> bool:
-        return not self.instances
-
-    @property
-    def verdicts(self) -> tuple[str, ...]:
-        return tuple(inst.verdict for inst in self.instances)
 
 
 def _require_claim_input(ell: WeightTuple, n: int) -> None:
@@ -297,8 +282,11 @@ def _claim(p, part, hypotheses, series, index, claimed, notes=()):
                          verdict, notes)
 
 
-def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
-    """Check the closed-form span bounds against the direct series.
+def check_span_theorem(n: int, ell: WeightTuple
+                       ) -> tuple[ClaimInstance, ...]:
+    """Check the closed-form span bounds against the direct series: one
+    ClaimInstance per qualifying prime and part, parts 1 and 2 of each
+    prime in ascending prime order, and () when no prime qualifies.
 
     Qualifying primes are the odd p dividing n but not l2 - l1. Part 1
     claims span <= 4n - 5 - 2*floor((n-2)/2) through the tangent
@@ -335,11 +323,14 @@ def check_span_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
             _claim(p, 2, hyps2, series,
                    i2 if n % 2 == 1 and pow_gap else None, 3 * n - 4),
         ]
-    return ClaimCheck("span", n, ell, tuple(instances))
+    return tuple(instances)
 
 
-def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
-    """Check the closed-form non-immersion claim against the direct series.
+def check_immersion_theorem(n: int, ell: WeightTuple
+                            ) -> tuple[ClaimInstance, ...]:
+    """Check the closed-form non-immersion claim against the direct series:
+    one ClaimInstance per qualifying prime, in ascending order, and ()
+    when no prime qualifies.
 
     Qualifying primes are the odd divisors of gcd(n - 1, l2 - l1). The
     claim puts the quotient outside euclidean space of dimension
@@ -359,10 +350,8 @@ def check_immersion_theorem(n: int, ell: WeightTuple) -> ClaimCheck:
     primes = _odd_prime_divisors(math.gcd(n - 1, l2 - l1))
     series = normal_pontrjagin(n, ell, truncation=n) if primes else None
     hyps = (("p divides n - 1", True), ("p divides l2 - l1", True))
-    instances = [
-        _claim(p, 1, hyps, series, j, (4 * n - 5) + 2 * j, notes)
-        for p in primes]
-    return ClaimCheck("immersion", n, ell, tuple(instances))
+    return tuple(_claim(p, 1, hyps, series, j, (4 * n - 5) + 2 * j, notes)
+                 for p in primes)
 
 
 class RankBoundReport(namedtuple(

@@ -73,8 +73,7 @@ def test_criterion_06_span_instance_with_runtime_budget():
 
 def test_criterion_07_immersion_instance_closed_form_index():
     # the closed-form claim sits at index 2; the direct scan may do better
-    check = check_immersion_theorem(8, WeightTuple((1, 8)))
-    inst = check.instances[0]
+    inst = check_immersion_theorem(8, WeightTuple((1, 8)))[0]
     assert inst.prime == 7
     assert inst.index == 2
     assert inst.coefficient == 3
@@ -134,19 +133,17 @@ def test_criterion_09_lens_instance_and_dead_end_diagnostic():
 
 
 def test_criterion_10_claim_checkers_agree_and_discrepant():
-    check = check_span_theorem(7, WeightTuple((1, 2)))
-    part1 = check.instances[0]
+    part1 = check_span_theorem(7, WeightTuple((1, 2)))[0]
     assert (part1.prime, part1.part, part1.verdict) == (7, 1, AGREE)
 
-    check = check_span_theorem(21, WeightTuple((2, 1)))
-    by_key = {(i.prime, i.part): i.verdict for i in check.instances}
+    instances = check_span_theorem(21, WeightTuple((2, 1)))
+    by_key = {(i.prime, i.part): i.verdict for i in instances}
     assert by_key[(7, 2)] == DISCREPANT
-    inst = next(i for i in check.instances if i.prime == 7 and i.part == 2)
+    inst = next(i for i in instances if i.prime == 7 and i.part == 2)
     assert inst.index == 10 and inst.coefficient == 0
 
-    check = check_immersion_theorem(7, WeightTuple((1, 4)))
-    assert (check.instances[0].prime, check.instances[0].verdict) == \
-        (3, DISCREPANT)
+    inst = check_immersion_theorem(7, WeightTuple((1, 4)))[0]
+    assert (inst.prime, inst.verdict) == (3, DISCREPANT)
 
     for argv in (["check-claims", "--n", "7", "--weights", "1,2"],
                  ["check-claims", "--n", "21", "--weights", "2,1"],

@@ -396,10 +396,9 @@ class TestOrderOnlyAtOddN:
 
 class TestSpanClaimChecker:
     def test_agree_instance(self):
-        check = check_span_theorem(7, W(1, 2))
-        assert check.kind == "span"
-        assert not check.vacuous
-        part1 = check.instances[0]
+        instances = check_span_theorem(7, W(1, 2))
+        assert instances
+        part1 = instances[0]
         assert part1.prime == 7 and part1.part == 1
         assert all(ok for _, ok in part1.hypotheses)
         assert (part1.index, part1.claimed) == (2, 19)
@@ -407,15 +406,14 @@ class TestSpanClaimChecker:
         assert part1.verdict == AGREE
 
     def test_part2_gate(self):
-        check = check_span_theorem(7, W(1, 2))
-        part2 = check.instances[1]
+        part2 = check_span_theorem(7, W(1, 2))[1]
         assert part2.part == 2
         assert part2.verdict == NOT_APPLICABLE
         assert ("p divides l1^n - l2^n", False) in part2.hypotheses
 
     def test_discrepant_mod_p_collapse(self):
-        check = check_span_theorem(21, W(2, 1))
-        by_key = {(i.prime, i.part): i for i in check.instances}
+        instances = check_span_theorem(21, W(2, 1))
+        by_key = {(i.prime, i.part): i for i in instances}
         assert by_key[(3, 1)].verdict == AGREE
         assert by_key[(3, 1)].claimed == 61
         assert by_key[(7, 1)].verdict == DISCREPANT
@@ -426,13 +424,11 @@ class TestSpanClaimChecker:
         assert all(ok for _, ok in part2.hypotheses)
 
     def test_vacuous_when_prime_divides_gap(self):
-        check = check_span_theorem(5, W(1, 6))
-        assert check.vacuous
-        assert check.instances == ()
+        assert check_span_theorem(5, W(1, 6)) == ()
 
     def test_verdicts_tuple(self):
-        check = check_span_theorem(7, W(1, 2))
-        assert check.verdicts == (AGREE, NOT_APPLICABLE)
+        verdicts = [inst.verdict for inst in check_span_theorem(7, W(1, 2))]
+        assert verdicts == [AGREE, NOT_APPLICABLE]
 
 
 class TestClaimInput:
@@ -455,7 +451,7 @@ class TestClaimInput:
         seen = []
         monkeypatch.setattr(geometry, "_odd_prime_divisors",
                             lambda n: seen.append(n) or [])
-        assert check(self.CAP, W(1, 2)).vacuous
+        assert check(self.CAP, W(1, 2)) == ()
         assert seen
 
 
@@ -495,7 +491,8 @@ class TestClaimIndicesAreAdmissible:
     def test_every_applicable_index_is_below_the_order(self, kind, n, ell):
         check, build = CLAIMS[kind]
         series = build(n, ell, truncation=n)
-        for inst in check(n, ell).instances:
+        instances = check(n, ell)
+        for inst in instances:
             if inst.verdict == NOT_APPLICABLE:
                 continue
             order = nilpotency_order(StiefelParams(n, 2, ell), inst.prime)
@@ -507,9 +504,17 @@ class TestClaimIndicesAreAdmissible:
         with contextlib.redirect_stdout(out):
             assert main(["check-claims", "--n", str(n), "--weights="
                          + ",".join(map(str, ell)), "--json"]) == 0
-        for entry in json.loads(out.getvalue())["claim_checks"]:
+        report = json.loads(out.getvalue())
+        for entry in report["claim_checks"]:
             assert entry["admissible"] is (
                 None if entry["verdict"] == NOT_APPLICABLE else True)
+        # the report's entries of this kind are the checker's instances
+        result = report["result"]
+        assert result[f"{kind}_vacuous"] is (not instances)
+        assert result[f"{kind}_verdicts"] == [i.verdict for i in instances]
+        assert [(e["prime"], e["part"], e["verdict"])
+                for e in report["claim_checks"] if e["kind"] == kind] == [
+            (str(i.prime), str(i.part), i.verdict) for i in instances]
 
     def test_claim_checks_ask_for_no_order_or_primality_test(
             self, monkeypatch, capsys):
@@ -519,10 +524,10 @@ class TestClaimIndicesAreAdmissible:
         monkeypatch.setattr(geometry, "nilpotency_order", refuse)
         monkeypatch.setattr(ring, "is_prime", refuse)
         span = check_span_theorem(21, W(2, 1))
-        assert [(i.prime, i.part) for i in span.instances] == [
+        assert [(i.prime, i.part) for i in span] == [
             (3, 1), (3, 2), (7, 1), (7, 2)]
         immersion = check_immersion_theorem(31, W(1, 31))
-        assert [i.prime for i in immersion.instances] == [3, 5]
+        assert [i.prime for i in immersion] == [3, 5]
         assert main(["check-claims", "--n", "21", "--weights", "1,2",
                      "--json"]) == 0
         assert '"admissible": true' in capsys.readouterr().out
@@ -530,27 +535,24 @@ class TestClaimIndicesAreAdmissible:
 
 class TestImmersionClaimChecker:
     def test_agree_instance(self):
-        check = check_immersion_theorem(8, W(1, 8))
-        inst = check.instances[0]
+        inst = check_immersion_theorem(8, W(1, 8))[0]
         assert inst.prime == 7
         assert (inst.index, inst.claimed) == (2, 31)
         assert inst.coefficient == 3
         assert inst.verdict == AGREE
 
     def test_discrepant_instance(self):
-        check = check_immersion_theorem(7, W(1, 4))
-        inst = check.instances[0]
+        inst = check_immersion_theorem(7, W(1, 4))[0]
         assert inst.prime == 3
         assert inst.coefficient == 0
         assert inst.verdict == DISCREPANT
 
     def test_vacuous_when_gcd_is_one(self):
-        assert check_immersion_theorem(4, W(1, 2)).vacuous
+        assert check_immersion_theorem(4, W(1, 2)) == ()
 
     def test_direct_certificate_dominates_agree_claims(self):
         # the direct scan may certify more than the closed form claims
-        check = check_immersion_theorem(8, W(1, 8))
-        inst = check.instances[0]
+        inst = check_immersion_theorem(8, W(1, 8))[0]
         cert = immersion_certificate(8, W(1, 8), inst.prime)
         assert cert.bound >= inst.claimed - 1
 

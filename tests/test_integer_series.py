@@ -101,7 +101,7 @@ class TestAgainstDenseOracle:
         for n in range(2, 41):
             for ws in PAIRS:
                 ell = WeightTuple(ws)
-                for inst in check(n, ell).instances:
+                for inst in check(n, ell):
                     computed = (inst.index, inst.coefficient, inst.claimed)
                     assert (inst.verdict == NOT_APPLICABLE) == all(
                         v is None for v in computed)
@@ -208,7 +208,7 @@ class TestOneBuildPerCall:
     def test_a_claim_check_builds_at_most_once(self, builds, check, n, ws,
                                                primes):
         result = check(n, WeightTuple(ws))
-        assert len({inst.prime for inst in result.instances}) == primes
+        assert len({inst.prime for inst in result}) == primes
         assert len(builds) == min(primes, 1)
 
 

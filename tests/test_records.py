@@ -4,26 +4,28 @@ have a Name(field=value, ...) repr; and an import that generates no code
 for them."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pstiefel
 from pstiefel.cohomology import (CohomologyPresentation, PresentationCheck,
                                  StiefelParams)
-from pstiefel.geometry import (Certificate, ClaimCheck, ClaimInstance,
-                               CriterionResult, LensParams, RankBoundReport,
-                               Sweep)
+from pstiefel.geometry import (Certificate, ClaimInstance, CriterionResult,
+                               LensParams, RankBoundReport, Sweep)
 from pstiefel.series import TruncatedSeries
 from pstiefel.verify import SuiteResult
 from pstiefel.weights import WeightTuple
 
-W = WeightTuple((1, 2))
 SPAN = Certificate(3, 1, 2, 5)
 # SuiteResult's failures and PresentationCheck's poincare are lists
 UNHASHABLE = ("SuiteResult", "PresentationCheck")
-INSTANCE = ClaimInstance(3, 1, (("p divides n", True),), 1, 2, 5, "AGREE")
 
 # A case names its type, then an optional "-" and variant: (factory, a
 # field to assign, the repr).
@@ -47,22 +49,15 @@ RECORDS = {
         lambda: Certificate(3, 1, 2, 6, 7), "claimed",
         "Certificate(prime=3, index=1, witness=2, bound=6, claimed=7)"),
     "Sweep": (
-        lambda: Sweep(7, W, 28, (SPAN,), SPAN), "best",
-        "Sweep(n=7, ell=WeightTuple(weights=(1, 2)), prime_bound=28, "
-        "certificates=(Certificate(prime=3, index=1, witness=2, bound=5, "
-        "claimed=None),), best=Certificate(prime=3, index=1, witness=2, "
-        "bound=5, claimed=None))"),
+        lambda: Sweep((SPAN,), SPAN), "best",
+        "Sweep(certificates=(Certificate(prime=3, index=1, witness=2, "
+        "bound=5, claimed=None),), best=Certificate(prime=3, index=1, "
+        "witness=2, bound=5, claimed=None))"),
     "ClaimInstance": (
         lambda: ClaimInstance(3, 1, (("p divides n", True),), 1, 2, 5,
                               "AGREE"), "verdict",
         "ClaimInstance(prime=3, part=1, hypotheses=(('p divides n', True),), "
         "index=1, coefficient=2, claimed=5, verdict='AGREE', notes=())"),
-    "ClaimCheck": (
-        lambda: ClaimCheck("span", 7, W, (INSTANCE,)), "instances",
-        "ClaimCheck(kind='span', n=7, ell=WeightTuple(weights=(1, 2)), "
-        "instances=(ClaimInstance(prime=3, part=1, hypotheses=(('p divides "
-        "n', True),), index=1, coefficient=2, claimed=5, verdict='AGREE', "
-        "notes=()),))"),
     "RankBoundReport": (
         lambda: RankBoundReport("CP^3", 2, 3, "chern-nonzero", 2, 5),
         "lower_bound",
@@ -109,6 +104,28 @@ def test_records_are_immutable_values(name):
         assert type(c) is type(a) and c == a
     plain = tuple(a)
     assert type(plain) is tuple and a == plain and plain == a
+
+
+def _defined_records():
+    """Every tuple subclass a pstiefel module defines (the package's
+    __main__ runs the CLI on import, and defines none)."""
+    found = set()
+    for info in pkgutil.iter_modules(pstiefel.__path__, "pstiefel."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        found |= {obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, tuple)
+                  and obj.__module__ == module.__name__}
+    return found
+
+
+def test_every_record_is_tested_and_counted():
+    names = {cls.__name__ for cls in _defined_records()}
+    assert names == {name.partition("-")[0] for name in RECORDS}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.search(r"The (\d+) value types", readme)
+    assert int(stated.group(1)) == len(names)
 
 
 def test_importing_the_cli_generates_no_record_code():
